@@ -11,8 +11,6 @@
 //	icibench -json out.json # also write machine-readable results
 //	icibench -effort        # append effort counters to each text row
 //	icibench -pprof localhost:6060  # serve net/http/pprof while running
-//	icibench -workers 8 -shared  # cells score pairs concurrently on one shared manager
-//	icibench -speedup BENCH.json # run the speedup grid, write its JSON, and exit
 //	icibench -zoo -quick    # the model-zoo grid: every registry entry at its smallest size
 //	icibench -serve http://localhost:8080 -quick  # drive a remote icid via its batch API
 //
@@ -22,16 +20,6 @@
 // is violated by design report VIOLATED rows, so the grid normally
 // exits 1. Engine names given to -engines resolve case-insensitively
 // ("pdr" works).
-//
-// The -speedup grid compares sequential, per-worker-manager, and
-// shared-manager XICI runs cell by cell (schema "icibench-speedup/v1");
-// it exits 1 if any configuration disagrees on verdict or iteration
-// count, since the concurrent manager's contract is bit-identical
-// traversals. On a machine with no schedulable parallelism
-// (GOMAXPROCS=1) the grid refuses to run — such numbers measure
-// hand-off elimination, not speedup — unless -force is given, in which
-// case the report carries "degraded": true so the condition is recorded
-// in the JSON itself.
 //
 // Each cell runs on a fresh BDD manager under a node/time budget playing
 // the role of the paper's "Exceeded 60MB" / "Exceeded 40 minutes" limits;
@@ -68,7 +56,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"time"
 
@@ -86,19 +73,10 @@ func main() {
 		jsonPath  = flag.String("json", "", "write machine-readable results to this path")
 		effort    = flag.Bool("effort", false, "append effort counters and phase times to each text row")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the grid's duration")
-		workers   = flag.Int("workers", 0, "in-cell scoring workers (0 = sequential scoring); with -shared they score against one concurrent manager")
-		shared    = flag.Bool("shared", false, "run every cell on a shared-memory concurrent manager (implies -workers 8 unless set)")
-		speedup   = flag.String("speedup", "", "run the parallel-vs-sequential speedup grid instead of the tables and write its JSON here")
-		reps      = flag.Int("reps", 3, "speedup grid: repetitions per configuration (best-of)")
-		force     = flag.Bool("force", false, "speedup grid: run even with no schedulable parallelism (report is marked degraded)")
 		zooGrid   = flag.Bool("zoo", false, "run the model-zoo grid (every zoo registry entry, including imported .fsm machines) instead of the paper tables")
 		serve     = flag.String("serve", "", "drive a remote icid at this base URL (e.g. http://localhost:8080) instead of running cells in-process; submits the zoo grid through its batch API")
 	)
 	flag.Parse()
-
-	if *shared && *workers == 0 {
-		*workers = 8
-	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -134,26 +112,6 @@ func main() {
 		os.Exit(runServe(ctx, os.Stdout, *serve, *quick, methods, *jsonPath))
 	}
 
-	if *speedup != "" {
-		if runtime.GOMAXPROCS(0) <= 1 && !*force {
-			fmt.Fprintln(os.Stderr, "icibench: -speedup refused: GOMAXPROCS=1 measures hand-off elimination, not speedup (use -force to run anyway; the report will carry \"degraded\": true)")
-			os.Exit(2)
-		}
-		rep := bench.RunSpeedup(ctx, os.Stdout, *workers, *reps, *quick, bench.DefaultBudget)
-		if err := rep.Write(*speedup); err != nil {
-			fmt.Fprintf(os.Stderr, "icibench: writing %s: %v\n", *speedup, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(wrote %s)\n", *speedup)
-		for _, c := range rep.Cells {
-			if !c.VerdictsAgree {
-				fmt.Fprintf(os.Stderr, "icibench: %s: configurations disagree on verdict or iterations\n", c.Group)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
 	report := &bench.Report{
 		Schema:    bench.ReportSchema,
 		Generated: time.Now().UTC().Format(time.RFC3339),
@@ -165,14 +123,6 @@ func main() {
 	run := func(t bench.Table, b bench.Budget) {
 		t = t.Filter(methods)
 		t.ShowEffort = *effort
-		if *workers != 0 || *shared {
-			for i := range t.Cells {
-				if t.Cells[i].Opt.Workers == 0 {
-					t.Cells[i].Opt.Workers = *workers
-				}
-				t.Cells[i].Opt.SharedManager = *shared
-			}
-		}
 		if len(t.Cells) == 0 {
 			return
 		}

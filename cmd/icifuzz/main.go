@@ -10,15 +10,7 @@
 //	icifuzz -seed 1 -n 1000 -shrink -seeddir failures/
 //	icifuzz -replay failures/div-000.json # re-run one saved seed
 //	icifuzz -inject -n 50                 # self-test: a lying engine must be caught
-//	icifuzz -shared -n 200                # every instance on a concurrent manager
 //	icifuzz -engines pdr,fwd -n 200       # only these engines (ablations ride along)
-//
-// A quarter of randomly drawn instances (and all of them under -shared)
-// are built on a shared-memory concurrent BDD manager, so the campaign
-// differentially tests the sharded unique table and striped cache
-// against the sequential manager and the explicit oracle; the
-// XICI/sharedscore ablation additionally scores pairs concurrently on
-// such instances.
 //
 // Reports are NDJSON on -out (default stdout): one line per divergent
 // instance (every line with -v), then one summary line. Output is
@@ -51,7 +43,6 @@ func main() {
 		verbose = flag.Bool("v", false, "report every instance, not only divergent ones")
 		oracleS = flag.Int("oracle-state-bits", 0, "explicit-oracle state-bit cap (0 = 12)")
 		oracleI = flag.Int("oracle-input-bits", 0, "explicit-oracle input-bit cap (0 = 6)")
-		shared  = flag.Bool("shared", false, "build every instance on a shared-memory concurrent manager (default: one in four)")
 		engines = flag.String("engines", "", "comma-separated filter over the engine grid; a base name keeps its ablations too (\"pdr\" keeps PDR and PDR/nopolicy)")
 	)
 	flag.Parse()
@@ -118,9 +109,6 @@ func main() {
 	verified, violated, abstained := 0, 0, 0
 	for i := 0; i < *n; i++ {
 		params := difftest.RandomParams(rng)
-		if *shared {
-			params.Shared = true
-		}
 		rep, err := runOne(params, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "icifuzz: instance %d: %v\n", i, err)

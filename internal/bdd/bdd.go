@@ -20,13 +20,7 @@
 //
 // All operations on a Manager panic with *LimitError when the node limit
 // is exceeded; use Guard to convert that panic into an error at an API
-// boundary.
-//
-// Managers created by New/NewWithSize are not safe for concurrent use.
-// NewShared creates a Manager in shared-memory concurrent mode — sharded
-// unique table, striped computed cache, fork/join ParITE/ParAndN/
-// ParAndExists — whose operations may run from many goroutines at once;
-// see shared.go and DESIGN.md §12 for the concurrency contract.
+// boundary. Managers are not safe for concurrent use.
 package bdd
 
 import (
@@ -139,18 +133,9 @@ type Manager struct {
 	// ProtectPermanent, making that registration idempotent per manager.
 	permRoots map[Ref]struct{}
 
-	// shared is non-nil iff the Manager is in shared-memory concurrent
-	// mode (NewShared). When set, node storage, the unique table, and the
-	// computed cache live in the sharded structures of shared.go and the
-	// fields nodes/free/buckets/cache above are unused; every access site
-	// dispatches on this single nil check, so the sequential paths are
-	// byte-for-byte the pre-existing code.
-	shared *sharedState
-
-	// Transfer memo scratch (satellite: slice-indexed memo with a
-	// generation stamp instead of a per-call map). Owned by the
-	// DESTINATION manager of a Transfer, which is always goroutine-private
-	// even when several workers transfer from one shared source at once.
+	// Transfer memo scratch: a slice-indexed memo with a generation
+	// stamp instead of a per-call map, owned by the destination manager
+	// of a Transfer.
 	xferVal []Ref
 	xferGen []uint32
 	xferCur uint32
@@ -192,35 +177,15 @@ func (m *Manager) NodeLimit() int { return m.nodeLimit }
 func (m *Manager) NumVars() int { return len(m.varNames) }
 
 // NumNodes returns the number of live nodes, including the terminal.
-func (m *Manager) NumNodes() int {
-	if s := m.shared; s != nil {
-		return int(s.nodeCount.Load())
-	}
-	return m.stats.Nodes
-}
+func (m *Manager) NumNodes() int { return m.stats.Nodes }
 
 // PeakNodes returns the high-water mark of live nodes.
-func (m *Manager) PeakNodes() int {
-	if s := m.shared; s != nil {
-		return int(s.peakNodes.Load())
-	}
-	return m.stats.PeakNodes
-}
+func (m *Manager) PeakNodes() int { return m.stats.PeakNodes }
 
-// Stats returns a snapshot of the Manager's counters. On a shared-mode
-// Manager the atomic counters are folded in; calling it concurrently with
-// running operations yields a consistent-enough snapshot for reporting
-// (each counter is individually atomic, the set is not).
+// Stats returns a snapshot of the Manager's counters.
 func (m *Manager) Stats() Stats {
 	s := m.stats
 	s.Vars = len(m.varNames)
-	if sh := m.shared; sh != nil {
-		s.Nodes = int(sh.nodeCount.Load())
-		s.PeakNodes = int(sh.peakNodes.Load())
-		s.CacheLookups = sh.lookups.Load()
-		s.CacheHits = sh.hits.Load()
-		s.UniqueHits = sh.uniqueHits.Load()
-	}
 	return s
 }
 
@@ -231,9 +196,6 @@ func (m *Manager) Stats() Stats {
 // the same structures).
 func (m *Manager) MemEstimate() int {
 	const nodeBytes = 20 // level + low + high + next + refs
-	if s := m.shared; s != nil {
-		return s.memEstimate()
-	}
 	return m.stats.PeakNodes*nodeBytes + len(m.buckets)*4 + m.cache.memBytes()
 }
 
@@ -275,20 +237,9 @@ func (m *Manager) VarRef(v Var) Ref {
 // NVarRef returns the negation of variable v.
 func (m *Manager) NVarRef(v Var) Ref { return m.VarRef(v).Not() }
 
-// at returns the node record for the given index. It is the single
-// dispatch point between the two storage layouts: a flat append-grown
-// slice in sequential mode, sharded chunked arenas (whose published node
-// memory never moves, so concurrent readers are safe) in shared mode.
-func (m *Manager) at(idx uint32) *node {
-	if s := m.shared; s != nil {
-		return s.nodeAt(idx)
-	}
-	return &m.nodes[idx]
-}
-
 // Level returns the ordering level of the top variable of r, or
 // math.MaxUint32 for constants.
-func (m *Manager) Level(r Ref) uint32 { return m.at(r.index()).level }
+func (m *Manager) Level(r Ref) uint32 { return m.nodes[r.index()].level }
 
 // TopVar returns the top variable of r. It panics on constants.
 func (m *Manager) TopVar(r Ref) Var {
@@ -302,7 +253,7 @@ func (m *Manager) TopVar(r Ref) Var {
 // Low returns the else-cofactor of r with respect to its own top
 // variable, accounting for r's complement mark. It panics on constants.
 func (m *Manager) Low(r Ref) Ref {
-	n := m.at(r.index())
+	n := &m.nodes[r.index()]
 	if n.level == terminalLevel {
 		panic("bdd: Low of constant")
 	}
@@ -312,7 +263,7 @@ func (m *Manager) Low(r Ref) Ref {
 // High returns the then-cofactor of r with respect to its own top
 // variable, accounting for r's complement mark. It panics on constants.
 func (m *Manager) High(r Ref) Ref {
-	n := m.at(r.index())
+	n := &m.nodes[r.index()]
 	if n.level == terminalLevel {
 		panic("bdd: High of constant")
 	}
@@ -322,7 +273,7 @@ func (m *Manager) High(r Ref) Ref {
 // cofactor returns the two cofactors of r with respect to the variable at
 // level. If r's top variable is below level, both cofactors are r itself.
 func (m *Manager) cofactor(r Ref, level uint32) (lo, hi Ref) {
-	n := m.at(r.index())
+	n := &m.nodes[r.index()]
 	if n.level != level {
 		return r, r
 	}
@@ -364,9 +315,6 @@ func (m *Manager) mk(level uint32, low, high Ref) Ref {
 		low ^= 1
 		high ^= 1
 	}
-	if s := m.shared; s != nil {
-		return s.mk(m, level, low, high) ^ out
-	}
 
 	h := hash3(level, low, high) & m.bucketMask
 	for i := m.buckets[h]; i >= 0; i = m.nodes[i].next {
@@ -403,7 +351,7 @@ func (m *Manager) SetDeadline(t time.Time) {
 }
 
 // Deadline returns the current operation deadline (the zero time when
-// none is set). Used to plumb a run's deadline into per-worker Managers.
+// none is set).
 func (m *Manager) Deadline() time.Time { return m.deadline }
 
 // DeadlineError is the panic value raised when an operation overruns the

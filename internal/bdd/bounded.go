@@ -29,16 +29,12 @@ func (m *Manager) ITEBounded(f, g, h Ref, budget int) (res Ref, ok bool) {
 	return m.bounded(budget, func() Ref { return m.ITE(f, g, h) })
 }
 
-// bounded runs op under a temporary node limit. It mutates the manager's
-// nodeLimit, so on shared-mode managers it requires quiescence (no other
-// operation in flight); the core evaluation layer accordingly keeps
-// budget-classified scoring on the per-worker-manager path.
 func (m *Manager) bounded(budget int, op func() Ref) (res Ref, ok bool) {
 	if budget <= 0 {
 		return op(), true
 	}
 	prev := m.nodeLimit
-	temp := m.NumNodes() + budget
+	temp := m.stats.Nodes + budget
 	if prev > 0 && prev < temp {
 		temp = prev
 	}

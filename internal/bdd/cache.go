@@ -100,9 +100,6 @@ func cacheHash(op uint32, f, g, h Ref) uint32 {
 // spin through already-allocated nodes indefinitely without ever calling
 // alloc, so the allocation-side check alone would never fire.
 func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
-	if s := m.shared; s != nil {
-		return s.cacheLookup(m, op, f, g, h)
-	}
 	m.stats.CacheLookups++
 	if !m.deadline.IsZero() && m.stats.CacheLookups%deadlineStride == 0 {
 		if time.Now().After(m.deadline) {
@@ -119,10 +116,6 @@ func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
 
 // cacheStore records a computed result.
 func (m *Manager) cacheStore(op uint32, f, g, h, res Ref) {
-	if s := m.shared; s != nil {
-		s.cacheStore(op, f, g, h, res)
-		return
-	}
 	e := &m.cache.entries[cacheHash(op, f, g, h)&m.cache.mask]
 	*e = cacheEntry{op: op, f: f, g: g, h: h, res: res, epoch: m.cache.cur}
 }

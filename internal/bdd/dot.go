@@ -27,7 +27,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 		}
 		seen[idx] = struct{}{}
 		order = append(order, idx)
-		n := m.at(idx)
+		n := &m.nodes[idx]
 		if n.level == terminalLevel {
 			return
 		}
@@ -41,7 +41,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 
 	byLevel := make(map[uint32][]uint32)
 	for _, idx := range order {
-		n := m.at(idx)
+		n := &m.nodes[idx]
 		if n.level == terminalLevel {
 			fmt.Fprintf(&b, "  n%d [shape=box,label=\"1\"];\n", idx)
 			continue
@@ -71,7 +71,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 		fmt.Fprintf(&b, "  n%d -> n%d [style=%s%s];\n", from, to.index(), style, extra)
 	}
 	for _, idx := range order {
-		n := m.at(idx)
+		n := &m.nodes[idx]
 		if n.level == terminalLevel {
 			continue
 		}

@@ -11,7 +11,7 @@ package bdd
 // f for convenient chaining. Constants are always live.
 func (m *Manager) Protect(f Ref) Ref {
 	if !f.IsConst() {
-		m.at(f.index()).refs++
+		m.nodes[f.index()].refs++
 	}
 	return f
 }
@@ -34,7 +34,7 @@ func (m *Manager) ProtectPermanent(f Ref) Ref {
 		return f
 	}
 	m.permRoots[f] = struct{}{}
-	m.at(f.index()).refs++
+	m.nodes[f.index()].refs++
 	return f
 }
 
@@ -45,7 +45,7 @@ func (m *Manager) ExternalRefs(f Ref) int {
 	if f.IsConst() {
 		return 0
 	}
-	return int(m.at(f.index()).refs)
+	return int(m.nodes[f.index()].refs)
 }
 
 // Unprotect decrements the external reference count of f's node. It
@@ -55,7 +55,7 @@ func (m *Manager) Unprotect(f Ref) {
 	if f.IsConst() {
 		return
 	}
-	n := m.at(f.index())
+	n := &m.nodes[f.index()]
 	if n.refs == 0 {
 		panic("bdd: Unprotect without matching Protect")
 	}
@@ -66,15 +66,7 @@ func (m *Manager) Unprotect(f Ref) {
 // the number of nodes freed. The computed cache is cleared (an epoch
 // bump; see computedCache.clear) and the unique table rebuilt;
 // long-lived Substitution memos notice via the epoch.
-//
-// On a shared-mode Manager, GC requires quiescence: it is stop-the-world
-// by contract (callers collect between iterations, after pool joins). If
-// a parallel entry point is still in flight it refuses to run and
-// returns 0; GCDeferred counts those refusals.
 func (m *Manager) GC() int {
-	if s := m.shared; s != nil {
-		return s.gc(m)
-	}
 	marked := make([]bool, len(m.nodes))
 	marked[0] = true // terminal
 
@@ -142,11 +134,7 @@ func (m *Manager) rebuildUnique() {
 // CheckInvariants validates the structural invariants of the node pool:
 // canonical complement edges, ordered levels, no duplicate triples, and
 // free-list consistency. Intended for tests; cost is linear in the pool.
-// On shared-mode managers it requires quiescence.
 func (m *Manager) CheckInvariants() error {
-	if s := m.shared; s != nil {
-		return s.checkInvariants(m)
-	}
 	seen := make(map[[3]uint32]int32, len(m.nodes))
 	for i := 1; i < len(m.nodes); i++ {
 		n := &m.nodes[i]

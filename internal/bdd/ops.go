@@ -62,13 +62,8 @@ func (m *Manager) OrN(fs ...Ref) Ref {
 	return acc
 }
 
-// iteNormal applies the terminal cases and normalization rules shared by
-// the sequential (ite) and parallel (parIte) recursions. When the call
-// resolves without recursing it returns done=true with the result;
-// otherwise it returns the canonicalized triple (first argument and
-// then-argument uncomplemented) and the complement bit to apply to the
-// recursion's result.
-func (m *Manager) iteNormal(f, g, h Ref) (cf, cg, ch, outc, res Ref, done bool) {
+// ite is the memoized recursion behind every connective.
+func (m *Manager) ite(f, g, h Ref) Ref {
 	// Collapse operand coincidences first; they both terminate the
 	// recursion early and improve normalization below.
 	if f == g {
@@ -85,15 +80,15 @@ func (m *Manager) iteNormal(f, g, h Ref) (cf, cg, ch, outc, res Ref, done bool) 
 	// Terminal cases.
 	switch {
 	case f == One:
-		return 0, 0, 0, 0, g, true
+		return g
 	case f == Zero:
-		return 0, 0, 0, 0, h, true
+		return h
 	case g == h:
-		return 0, 0, 0, 0, g, true
+		return g
 	case g == One && h == Zero:
-		return 0, 0, 0, 0, f, true
+		return f
 	case g == Zero && h == One:
-		return 0, 0, 0, 0, f.Not(), true
+		return f.Not()
 	}
 
 	// Normalization: for the commutative forms, put the operand with the
@@ -129,16 +124,17 @@ func (m *Manager) iteNormal(f, g, h Ref) (cf, cg, ch, outc, res Ref, done bool) 
 		g, h = h, g
 	}
 	// ...and then-argument uncomplemented (complement the output).
+	var outc Ref
 	if g.complement() {
 		outc = 1
 		g = g.Not()
 		h = h.Not()
 	}
-	return f, g, h, outc, 0, false
-}
 
-// iteTop returns the topmost level among the (non-constant) operands.
-func (m *Manager) iteTop(f, g, h Ref) uint32 {
+	if r, ok := m.cacheLookup(opITE, f, g, h); ok {
+		return r ^ outc
+	}
+
 	top := m.Level(f)
 	if l := m.Level(g); l < top {
 		top = l
@@ -146,21 +142,7 @@ func (m *Manager) iteTop(f, g, h Ref) uint32 {
 	if l := m.Level(h); l < top {
 		top = l
 	}
-	return top
-}
 
-// ite is the memoized recursion behind every connective.
-func (m *Manager) ite(f, g, h Ref) Ref {
-	f, g, h, outc, res, done := m.iteNormal(f, g, h)
-	if done {
-		return res
-	}
-
-	if r, ok := m.cacheLookup(opITE, f, g, h); ok {
-		return r ^ outc
-	}
-
-	top := m.iteTop(f, g, h)
 	f0, f1 := m.cofactor(f, top)
 	g0, g1 := m.cofactor(g, top)
 	h0, h1 := m.cofactor(h, top)

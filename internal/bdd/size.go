@@ -26,7 +26,7 @@ func (m *Manager) SharedSize(roots ...Ref) int {
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := m.at(idx)
+		n := &m.nodes[idx]
 		if n.level == terminalLevel {
 			continue
 		}
@@ -52,7 +52,7 @@ func (m *Manager) Support(f Ref) []Var {
 			return
 		}
 		seen[idx] = struct{}{}
-		n := m.at(idx)
+		n := &m.nodes[idx]
 		if n.level == terminalLevel {
 			return
 		}

@@ -14,16 +14,13 @@ import "fmt"
 // Transfers into the same destination reuse the arrays and invalidate
 // them by bumping the generation, so the map allocation and hashing that
 // used to dominate small transfers is gone entirely (BenchmarkTransfer
-// measures the difference against the old map memo). The scratch lives
-// on the DESTINATION because that side is always goroutine-private —
-// the parallel scoring layer transfers concurrently from one shared
-// source into many per-worker destinations.
+// measures the difference against the old map memo).
 
 // VarMismatchError is the panic value raised (and converted to an error
 // by Guard) when a Transfer reaches a variable in the source function's
 // support that the destination manager has not declared. The typical way
-// to get here: create a worker with NewWorker, then AddVar/NewVar on the
-// parent — the worker's variable snapshot has silently diverged.
+// to get here: declare the destination's variables from the source, then
+// NewVar on the source — the destination's copy of the order is stale.
 type VarMismatchError struct {
 	Var     Var // destination variable the copy needed
 	DstVars int // variables declared in the destination
@@ -31,7 +28,7 @@ type VarMismatchError struct {
 }
 
 func (e *VarMismatchError) Error() string {
-	return fmt.Sprintf("bdd: Transfer needs destination variable %d but only %d are declared (source declares %d): worker created before the source's variables were complete?",
+	return fmt.Sprintf("bdd: Transfer needs destination variable %d but only %d are declared (source declares %d): destination declared before the source's variables were complete?",
 		int(e.Var), e.DstVars, e.SrcVars)
 }
 
@@ -43,34 +40,6 @@ func (e *VarMismatchError) Error() string {
 func Transfer(dst, src *Manager, f Ref, varMap []Var) Ref {
 	t := newTransferCtx(dst, src, varMap)
 	return t.copy(f)
-}
-
-// NewWorker returns a fresh, empty Manager declaring the same variables
-// (same names, same order) as m and inheriting its node limit and
-// deadline. Sequential managers are not safe for concurrent use, so the
-// per-worker-manager evaluation layer (internal/par + core.Options.
-// Workers) gives each worker goroutine its own Manager created here and
-// ships live functions across with Transfer/TransferAll. Because the
-// variable order is identical and BDDs are canonical, sizes and shared
-// sizes measured on a worker agree exactly with the source Manager's.
-//
-// The snapshot is taken at call time: variables declared on m afterwards
-// do not exist in the worker, and a Transfer whose support reaches one
-// fails with *VarMismatchError rather than silently building a wrong
-// function. Create workers only after the source's variables are final
-// (or re-create them after declaring more).
-//
-// The inherited node limit bounds each worker independently; a parallel
-// run may therefore hold up to workers× the sequential node count before
-// aborting. The inherited deadline keeps a runaway operation on a worker
-// abortable exactly like one on the source Manager.
-func (m *Manager) NewWorker() *Manager {
-	w := NewWithSize(1024, DefaultCacheBits)
-	w.varNames = append([]string(nil), m.varNames...)
-	w.nodeLimit = m.nodeLimit
-	w.deadline = m.deadline
-	w.ctx = m.ctx
-	return w
 }
 
 // TransferAll copies several roots, sharing the rebuild memo so common
@@ -97,7 +66,7 @@ type transferCtx struct {
 // invalidate prior contents with a generation bump (sweeping only on
 // uint32 wraparound, as the computed cache does for its epochs).
 func newTransferCtx(dst, src *Manager, varMap []Var) *transferCtx {
-	bound := src.indexBound()
+	bound := len(src.nodes)
 	if len(dst.xferVal) < bound {
 		dst.xferVal = make([]Ref, bound)
 		dst.xferGen = make([]uint32, bound)

@@ -146,57 +146,99 @@ func TestTransferUncoveredSupportPanics(t *testing.T) {
 	Transfer(dst, src, f, []Var{0})
 }
 
-// TestNewWorker covers the per-worker Manager hand-off used by the
-// parallel evaluation layer: same variables, inherited limit/deadline,
-// canonical sizes on both sides, and a lossless round trip.
-func TestNewWorker(t *testing.T) {
-	m := newTestManager(t, 5)
-	m.SetNodeLimit(1 << 20)
-	dl := time.Now().Add(time.Hour)
-	m.SetDeadline(dl)
-	defer m.SetDeadline(time.Time{})
+// newDest returns a fresh destination manager declaring n variables, the
+// way sift.go builds its scratch managers.
+func newDest(n int) *Manager {
+	d := New()
+	d.NewVars("d", n)
+	return d
+}
 
-	w := m.NewWorker()
-	if w.NumVars() != m.NumVars() {
-		t.Fatalf("worker declares %d vars, want %d", w.NumVars(), m.NumVars())
-	}
-	for v := 0; v < m.NumVars(); v++ {
-		if w.VarName(Var(v)) != m.VarName(Var(v)) {
-			t.Fatalf("var %d name mismatch", v)
-		}
-	}
-	if w.NodeLimit() != m.NodeLimit() {
-		t.Fatalf("worker limit %d, want %d", w.NodeLimit(), m.NodeLimit())
-	}
-	if !w.Deadline().Equal(dl) {
-		t.Fatalf("worker deadline %v, want %v", w.Deadline(), dl)
-	}
+// TestTransferBackIsCanonical: a conjunction computed on the destination
+// transfers back to the exact Ref the source manager's own And returns.
+func TestTransferBackIsCanonical(t *testing.T) {
+	m := newTestManager(t, 5)
+	w := newDest(m.NumVars())
 
 	f := m.Or(m.And(m.VarRef(0), m.VarRef(3)), m.Xor(m.VarRef(1), m.VarRef(4)))
 	g := m.And(f, m.VarRef(2))
 	fs := TransferAll(w, m, []Ref{f, g}, nil)
-	if w.Size(fs[0]) != m.Size(f) || w.SharedSize(fs...) != m.SharedSize(f, g) {
-		t.Fatal("sizes not canonical across worker transfer")
-	}
-	// The conjunction computed on the worker transfers back to the exact
-	// Ref the source Manager would compute itself.
 	p := w.And(fs[0], fs[1])
 	if Transfer(m, w, p, nil) != m.And(f, g) {
-		t.Fatal("worker result did not transfer back to the canonical Ref")
+		t.Fatal("destination result did not transfer back to the canonical Ref")
 	}
 	checkInv(t, w)
 }
 
-// TestNewWorkerIndependence: worker allocations never touch the source.
-func TestNewWorkerIndependence(t *testing.T) {
+// TestTransferLeavesSourceUntouched: allocations on the destination
+// never touch the source.
+func TestTransferLeavesSourceUntouched(t *testing.T) {
 	m := newTestManager(t, 4)
 	f := m.VarRef(0)
 	before := m.NumNodes()
-	w := m.NewWorker()
+	w := newDest(m.NumVars())
 	ws := TransferAll(w, m, []Ref{f}, nil)
 	w.And(w.Xor(ws[0], w.VarRef(1)), w.VarRef(2))
 	if m.NumNodes() != before {
-		t.Fatalf("worker activity changed source node count: %d -> %d", before, m.NumNodes())
+		t.Fatalf("destination activity changed source node count: %d -> %d", before, m.NumNodes())
+	}
+}
+
+// TestVarMismatchError: a destination that declared the source's
+// variables before the source grew must reject a function whose support
+// includes a later variable with the typed error, not silently diverge.
+func TestVarMismatchError(t *testing.T) {
+	m := New()
+	a := m.NewVar("a")
+	w := newDest(m.NumVars()) // declares {a}
+	b := m.NewVar("b")        // source diverges
+	f := m.And(m.VarRef(a), m.VarRef(b))
+
+	defer func() {
+		r := recover()
+		ve, ok := r.(*VarMismatchError)
+		if !ok {
+			t.Fatalf("panic value %v (%T), want *VarMismatchError", r, r)
+		}
+		if ve.Var != b || ve.DstVars != 1 || ve.SrcVars != 2 {
+			t.Fatalf("error fields %+v, want Var=%d DstVars=1 SrcVars=2", ve, b)
+		}
+		if ve.Error() == "" {
+			t.Fatal("empty error string")
+		}
+	}()
+	Transfer(w, m, f, nil)
+	t.Fatal("Transfer succeeded past the destination's declared variables")
+}
+
+// TestVarMismatchOKOnOldSupport: the check is support-precise — a
+// function untouched by later variables still transfers.
+func TestVarMismatchOKOnOldSupport(t *testing.T) {
+	m := New()
+	a := m.NewVar("a")
+	w := newDest(m.NumVars())
+	m.NewVar("b")
+	f := m.VarRef(a)
+	if got := Transfer(w, m, f, nil); got != w.VarRef(a) {
+		t.Fatalf("Transfer of old-support function wrong: %v", got)
+	}
+}
+
+// TestTransferMemoReuse: repeated transfers into one destination reuse
+// the generation-stamped scratch and stay correct (the bug mode would be
+// a stale memo entry surviving a generation bump).
+func TestTransferMemoReuse(t *testing.T) {
+	m, vars := fuzzManager()
+	w := newDest(m.NumVars())
+	for i, p := range testPrograms {
+		f, table := fuzzFormula(m, vars, p)
+		got := Transfer(w, m, f, nil)
+		if gt := fuzzEvalTable(w, got); gt != table {
+			t.Fatalf("transfer %d: table %08x want %08x", i, gt, table)
+		}
+		if back := Transfer(m, w, got, nil); back != f {
+			t.Fatalf("transfer %d: round trip moved Ref", i)
+		}
 	}
 }
 
@@ -215,4 +257,65 @@ func TestDeadlineGetter(t *testing.T) {
 	if !m.Deadline().IsZero() {
 		t.Fatal("deadline not cleared")
 	}
+}
+
+// mapTransfer is the earlier map-memo Transfer, kept here as the
+// benchmark baseline.
+func mapTransfer(dst, src *Manager, f Ref) Ref {
+	memo := make(map[Ref]Ref)
+	var cp func(f Ref) Ref
+	cp = func(f Ref) Ref {
+		if f == One || f == Zero {
+			return f
+		}
+		reg := f &^ 1
+		if r, ok := memo[reg]; ok {
+			return r ^ (f & 1)
+		}
+		v := Var(src.Level(reg))
+		lo := cp(src.Low(reg))
+		hi := cp(src.High(reg))
+		r := dst.ite(dst.VarRef(v), hi, lo)
+		memo[reg] = r
+		return r ^ (f & 1)
+	}
+	return cp(f)
+}
+
+// benchTransferSource builds a source manager with a moderately large
+// function (a disjunction of variable pairs over 24 variables).
+func benchTransferSource() (*Manager, Ref) {
+	m := New()
+	vars := m.NewVars("x", 24)
+	f := Zero
+	for i := 0; i < len(vars); i++ {
+		f = m.Or(f, m.And(m.VarRef(vars[i]), m.VarRef(vars[(i+5)%len(vars)])))
+	}
+	return m, f
+}
+
+// BenchmarkTransfer: generation-stamped slice memo versus the earlier
+// per-call map memo. The "slice" case is the production path.
+func BenchmarkTransfer(b *testing.B) {
+	src, f := benchTransferSource()
+	b.Run("slice", func(b *testing.B) {
+		dst := newDest(src.NumVars())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if Transfer(dst, src, f, nil) == Zero {
+				b.Fatal("unreachable")
+			}
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		dst := newDest(src.NumVars())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if mapTransfer(dst, src, f) == Zero {
+				b.Fatal("unreachable")
+			}
+		}
+	})
 }

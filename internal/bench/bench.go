@@ -71,16 +71,7 @@ type CellResult struct {
 // sentinel survives the inheritance step and is then normalized to the
 // truly unbounded zero value.
 func RunCell(ctx context.Context, c Cell, budget Budget) CellResult {
-	// A cell that opts into the shared-memory parallel path gets a
-	// concurrent-mode manager; verify.RunContext then routes pair scoring
-	// through the zero-hand-off shared scorer. Everything downstream is
-	// manager-agnostic.
-	var m *bdd.Manager
-	if c.Opt.SharedManager {
-		m = bdd.NewShared(c.Opt.Workers, 20)
-	} else {
-		m = bdd.NewWithSize(1<<16, 20)
-	}
+	m := bdd.NewWithSize(1<<16, 20)
 	p := c.Build(m)
 	opt := c.Opt
 	if opt.Budget.NodeLimit == 0 {

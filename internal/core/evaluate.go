@@ -48,12 +48,10 @@ type Options struct {
 	PairBudgetFactor float64
 
 	// Stats, when non-nil, accumulates the greedy evaluation's effort
-	// counters (see EvalStats). The same determinism contract as for the
-	// output applies: with PairBudgetFactor == 0 the counters are
-	// identical whatever Workers is set to. The counters are per run:
-	// the sink is never reset here, so a sink reused across independent
-	// evaluations must be zeroed between them (verify.RunContext does
-	// this for its engines).
+	// counters (see EvalStats). The counters are per run: the sink is
+	// never reset here, so a sink reused across independent evaluations
+	// must be zeroed between them (verify.RunContext does this for its
+	// engines).
 	Stats *EvalStats
 
 	// OnMerge, when non-nil, is invoked for every merge the greedy loop
@@ -61,29 +59,6 @@ type Options struct {
 	// (j is dropped into i). It is the public form of the package's
 	// white-box test hooks, used by the verify layer's Observer.
 	OnMerge func(i, j int)
-
-	// Workers selects parallel pair scoring for the greedy evaluation
-	// (0 = sequential, the default; negative = GOMAXPROCS). Because a
-	// bdd.Manager is not safe for concurrent use, each worker gets its
-	// own Manager: live conjuncts ship across with bdd.TransferAll, the
-	// candidate conjunctions P_ij are built and sized concurrently, and
-	// only the winning merge of each round transfers back. BDD
-	// canonicity makes worker-side sizes identical to main-manager
-	// sizes, so with PairBudgetFactor == 0 the parallel result is
-	// bit-identical (pointwise-equal Refs) to the sequential one; see
-	// the determinism note on EvaluateGreedy.
-	Workers int
-
-	// SharedManager selects the zero-hand-off parallel scoring path:
-	// workers score and merge pairs directly against the list's own
-	// Manager, with no per-worker mirrors and no bdd.Transfer (see
-	// greedy_shared.go). It takes effect only when Workers != 0, the
-	// list's Manager is in shared-memory concurrent mode (bdd.NewShared),
-	// and PairBudgetFactor is 0 (bdd.AndBounded mutates the manager-wide
-	// node limit and so cannot run concurrently); otherwise evaluation
-	// falls back to the per-worker-manager path, which remains fully
-	// supported — the differential fuzzer cross-checks the two.
-	SharedManager bool
 }
 
 func (o Options) threshold() float64 {
@@ -175,127 +150,15 @@ func CrossSimplifyPositional(m *bdd.Manager, cs []bdd.Ref, simp bdd.Simplifier) 
 // invalidates and rescores only the one affected row instead of
 // rescanning the full O(n²) table. Candidate selection breaks ties on
 // the smallest (i, j), which makes the result deterministic and equal to
-// the historical full-rescan loop (kept as evaluateGreedyRescan for
-// crosschecks and benchmarks). With opt.Workers != 0 the pair scoring
-// runs on a worker pool of per-worker Managers; the output is
-// bit-identical to the sequential run except that a positive
-// PairBudgetFactor may classify borderline pairs differently (the
-// allocation-counting bound observes each worker's fresh Manager, not
-// the accumulated main one) — semantics are preserved either way.
+// the historical full-rescan loop (kept in the tests as
+// evaluateGreedyRescan for crosschecks and benchmarks).
 func EvaluateGreedy(l List, opt Options) List {
 	m := l.M
 	cs := append([]bdd.Ref(nil), l.Conjuncts...)
 	if len(cs) < 2 {
 		return NewList(m, cs...)
 	}
-	var sc pairScorer
-	switch {
-	case opt.Workers != 0 && opt.SharedManager && m.IsShared() && opt.PairBudgetFactor == 0:
-		sc = newSharedScorer(m, cs, opt)
-	case opt.Workers != 0:
-		sc = newParScorer(m, cs, opt)
-	default:
-		sc = newSeqScorer(m, cs, opt)
-	}
-	return greedyMerge(m, cs, opt, sc)
-}
-
-// evaluateGreedyRescan is the original (seed) implementation of Figure 1:
-// a full O(n²) rescan of the pair table per merge, with an O(|table|)
-// map walk to invalidate stale rows. It is retained verbatim as the
-// reference implementation — tests assert that the incremental heap path
-// and the parallel path reproduce its output Ref-for-Ref, and
-// BenchmarkEvaluatePolicy measures both against it.
-func evaluateGreedyRescan(l List, opt Options) List {
-	m := l.M
-	cs := append([]bdd.Ref(nil), l.Conjuncts...)
-	if len(cs) < 2 {
-		return NewList(m, cs...)
-	}
-	threshold := opt.threshold()
-
-	// Pairwise conjunction table. P[i][j] (i<j) caches X_i ∧ X_j, or
-	// records that the conjunction overflowed the pair budget.
-	// Invalidated rows/columns are recomputed after each replacement.
-	type pairKey struct{ i, j int }
-	type pairVal struct {
-		p  bdd.Ref
-		ok bool
-	}
-	pair := make(map[pairKey]pairVal)
-	conj := func(i, j int) (bdd.Ref, bool) {
-		if i > j {
-			i, j = j, i
-		}
-		k := pairKey{i, j}
-		if v, ok := pair[k]; ok {
-			return v.p, v.ok
-		}
-		var v pairVal
-		if opt.PairBudgetFactor > 0 {
-			budget := int(opt.PairBudgetFactor*float64(pairDenominator(m.SharedSize(cs[i], cs[j])))) + 64
-			v.p, v.ok = m.AndBounded(cs[i], cs[j], budget)
-		} else {
-			v.p, v.ok = m.And(cs[i], cs[j]), true
-		}
-		pair[k] = v
-		return v.p, v.ok
-	}
-
-	alive := make([]bool, len(cs))
-	for i := range alive {
-		alive[i] = true
-	}
-	liveCount := len(cs)
-
-	for liveCount >= 2 {
-		bestI, bestJ := -1, -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < len(cs); i++ {
-			if !alive[i] {
-				continue
-			}
-			for j := i + 1; j < len(cs); j++ {
-				if !alive[j] {
-					continue
-				}
-				p, ok := conj(i, j)
-				if !ok {
-					continue // conjunction overflowed the pair budget
-				}
-				ratio := float64(m.Size(p)) / float64(pairDenominator(m.SharedSize(cs[i], cs[j])))
-				if ratio < bestRatio {
-					bestRatio, bestI, bestJ = ratio, i, j
-				}
-			}
-		}
-		if bestI < 0 || bestRatio > threshold {
-			break
-		}
-		// Replace X_i and X_j with their conjunction; drop X_j.
-		merged, _ := conj(bestI, bestJ)
-		cs[bestI] = merged
-		alive[bestJ] = false
-		liveCount--
-		// Update P to reflect the modified conjunct list: every pair
-		// involving bestI or bestJ is stale.
-		for k := range pair {
-			if k.i == bestI || k.j == bestI || k.i == bestJ || k.j == bestJ {
-				delete(pair, k)
-			}
-		}
-		if merged == bdd.Zero {
-			return NewList(m, bdd.Zero)
-		}
-	}
-
-	out := cs[:0:0]
-	for i, c := range cs {
-		if alive[i] {
-			out = append(out, c)
-		}
-	}
-	return NewList(m, out...)
+	return greedyMerge(m, cs, opt)
 }
 
 // OptimalPairwiseCover computes the exact minimum-cost cover of the

@@ -43,10 +43,10 @@ func benchList(n int) (*bdd.Manager, List) {
 	return m, NewList(m, cs...)
 }
 
-// BenchmarkEvaluatePolicy compares the three implementations of the
+// BenchmarkEvaluatePolicy compares the two implementations of the
 // Figure 1 greedy evaluation on the same list: the seed's full-rescan
-// loop (kept as the reference), the incremental heap-driven loop, and
-// the worker-pool parallel scorer. A fresh Manager per iteration keeps
+// loop (kept as the reference) and the incremental heap-driven loop. A
+// fresh Manager per iteration keeps
 // the computed-cache state identical across variants — otherwise the
 // first variant to run would warm the And memo for the rest.
 func BenchmarkEvaluatePolicy(b *testing.B) {
@@ -69,9 +69,6 @@ func BenchmarkEvaluatePolicy(b *testing.B) {
 		})
 		run(prefix+"heap", func(l List) List {
 			return EvaluateGreedy(l, Options{})
-		})
-		run(prefix+"parallel4", func(l List) List {
-			return EvaluateGreedy(l, Options{Workers: 4})
 		})
 	}
 }

@@ -18,17 +18,6 @@ import (
 // (ratio, then i, then j) reproduces exactly the winner the seed's
 // lexicographic scan with strict improvement selected, so the two
 // implementations are Ref-for-Ref identical.
-//
-// The pairScorer abstraction is the seam where the parallel layer plugs
-// in: the driver below is identical for the sequential scorer (builds
-// P_ij on the list's own Manager) and the parallel one (per-worker
-// Managers, see greedy_par.go).
-
-// pairScore is the scoring result for one candidate pair.
-type pairScore struct {
-	ratio float64 // BDDSize(P_ij) / BDDSize(X_i, X_j)
-	ok    bool    // false: conjunction overflowed the pair budget
-}
 
 // pairDenominator guards the BDDSize(X_i, X_j) denominator of the Figure
 // 1 ratio against degeneracy. Constant conjuncts normally never reach a
@@ -45,21 +34,6 @@ func pairDenominator(den int) int {
 	return den
 }
 
-// pairScorer builds and sizes candidate conjunctions P_ij. The driver
-// guarantees that merged/applyMerge are called only for a pair whose
-// score is current (scored after the last change to either endpoint).
-type pairScorer interface {
-	// scoreAll scores the given (i, j) pairs (i < j) against the current
-	// conjunct values, in order.
-	scoreAll(pairs [][2]int) []pairScore
-	// merged materializes the winning conjunction X_i ∧ X_j on the
-	// list's own Manager.
-	merged(i, j int) bdd.Ref
-	// applyMerge records that cs[i] now holds the merged conjunct and
-	// cs[j] was dropped.
-	applyMerge(i, j int)
-}
-
 // Test hooks: when non-nil, greedyMerge reports every scored pair and
 // every applied merge. Used by regression tests to prove that merged or
 // dropped indices are never rescored. The public counter surface is
@@ -71,13 +45,7 @@ var (
 )
 
 // EvalStats accumulates effort counters for the Figure 1 greedy
-// evaluation. All increments happen in the shared greedyMerge driver —
-// the scorers only build and size candidate conjunctions — so the
-// counters are identical between sequential and parallel (Workers != 0)
-// runs by construction, except that with a positive PairBudgetFactor a
-// borderline pair may classify as overflowed on one path and not the
-// other (the documented budget caveat), shifting counts between
-// PairsScored-accepted and BudgetOverflow.
+// evaluation. All increments happen in greedyMerge.
 type EvalStats struct {
 	// PairsScored counts candidate conjunctions P_ij built and sized
 	// (the initial table plus one row rescore per merge).
@@ -120,11 +88,12 @@ func (h candHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 func (h *candHeap) Push(x any)   { *h = append(*h, x.(pairCand)) }
 func (h *candHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// greedyMerge runs the Figure 1 loop over cs (modified in place) using
-// the given scorer for pair construction. Effort counters (opt.Stats)
-// and merge notifications (opt.OnMerge) are emitted here, never in the
-// scorers, so both counters and events are scorer-independent.
-func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options, sc pairScorer) List {
+// greedyMerge runs the Figure 1 loop over cs (modified in place),
+// building each candidate conjunction P_ij on m and caching the surviving
+// ones in an indexed table so the winning merge needs no recomputation.
+// Effort counters (opt.Stats) and merge notifications (opt.OnMerge) are
+// emitted here.
+func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options) List {
 	threshold := opt.threshold()
 	n := len(cs)
 	alive := make([]bool, n)
@@ -134,6 +103,7 @@ func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options, sc pairScorer) List 
 	live := n
 
 	stamp := make([]int32, n*n) // stamp[i*n+j] (i < j) invalidates heap entries
+	ref := make([]bdd.Ref, n*n) // ref[i*n+j] (i < j): last scored P_ij
 	cands := make(candHeap, 0, n*n/2)
 
 	score := func(pairs [][2]int) {
@@ -145,19 +115,29 @@ func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options, sc pairScorer) List 
 		if opt.Stats != nil {
 			opt.Stats.PairsScored += len(pairs)
 		}
-		scores := sc.scoreAll(pairs)
-		for t, p := range pairs {
-			if !scores[t].ok {
+		for _, p := range pairs {
+			i, j := p[0], p[1]
+			den := pairDenominator(m.SharedSize(cs[i], cs[j]))
+			var pr bdd.Ref
+			ok := true
+			if opt.PairBudgetFactor > 0 {
+				budget := int(opt.PairBudgetFactor*float64(den)) + 64
+				pr, ok = m.AndBounded(cs[i], cs[j], budget)
+			} else {
+				pr = m.And(cs[i], cs[j])
+			}
+			if !ok {
 				if opt.Stats != nil {
 					opt.Stats.BudgetOverflow++
 				}
 				continue // unmergeable: conjunction overflowed the budget
 			}
+			ref[i*n+j] = pr
 			heap.Push(&cands, pairCand{
-				ratio: scores[t].ratio,
-				i:     int32(p[0]),
-				j:     int32(p[1]),
-				stamp: stamp[p[0]*n+p[1]],
+				ratio: float64(m.Size(pr)) / float64(den),
+				i:     int32(i),
+				j:     int32(j),
+				stamp: stamp[i*n+j],
 			})
 		}
 	}
@@ -202,7 +182,7 @@ func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options, sc pairScorer) List 
 		if opt.OnMerge != nil {
 			opt.OnMerge(bestI, bestJ)
 		}
-		merged := sc.merged(bestI, bestJ)
+		merged := ref[bestI*n+bestJ]
 		cs[bestI] = merged
 		alive[bestJ] = false
 		live--
@@ -227,7 +207,6 @@ func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options, sc pairScorer) List 
 				stamp[a*n+b]++
 			}
 		}
-		sc.applyMerge(bestI, bestJ)
 		// Rescore the surviving row: only pairs involving the merged
 		// conjunct changed.
 		row = row[:0]
@@ -252,44 +231,3 @@ func greedyMerge(m *bdd.Manager, cs []bdd.Ref, opt Options, sc pairScorer) List 
 	}
 	return NewList(m, out...)
 }
-
-// seqScorer builds the candidate conjunctions on the list's own Manager,
-// caching each surviving P_ij in the indexed table so the winning merge
-// is available without recomputation.
-type seqScorer struct {
-	m   *bdd.Manager
-	cs  []bdd.Ref // aliases greedyMerge's working slice
-	opt Options
-	ref []bdd.Ref // ref[i*n+j] (i < j): last scored P_ij
-}
-
-func newSeqScorer(m *bdd.Manager, cs []bdd.Ref, opt Options) *seqScorer {
-	return &seqScorer{m: m, cs: cs, opt: opt, ref: make([]bdd.Ref, len(cs)*len(cs))}
-}
-
-func (s *seqScorer) scoreAll(pairs [][2]int) []pairScore {
-	n := len(s.cs)
-	out := make([]pairScore, len(pairs))
-	for t, p := range pairs {
-		i, j := p[0], p[1]
-		den := pairDenominator(s.m.SharedSize(s.cs[i], s.cs[j]))
-		var pr bdd.Ref
-		ok := true
-		if s.opt.PairBudgetFactor > 0 {
-			budget := int(s.opt.PairBudgetFactor*float64(den)) + 64
-			pr, ok = s.m.AndBounded(s.cs[i], s.cs[j], budget)
-		} else {
-			pr = s.m.And(s.cs[i], s.cs[j])
-		}
-		if !ok {
-			continue
-		}
-		s.ref[i*n+j] = pr
-		out[t] = pairScore{ratio: float64(s.m.Size(pr)) / float64(den), ok: true}
-	}
-	return out
-}
-
-func (s *seqScorer) merged(i, j int) bdd.Ref { return s.ref[i*len(s.cs)+j] }
-
-func (s *seqScorer) applyMerge(int, int) {} // cs is shared; nothing else to update

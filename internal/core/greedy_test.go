@@ -50,104 +50,46 @@ func TestEvaluateGreedyMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestEvaluateGreedyParallelPointwiseEqual: with PairBudgetFactor == 0
-// the parallel path promises bit-identical output — same Refs on the
-// same manager — for any worker count.
-func TestEvaluateGreedyParallelPointwiseEqual(t *testing.T) {
-	m := newM(t)
-	rng := rand.New(rand.NewSource(92))
-	for iter := 0; iter < 30; iter++ {
-		l := randList(m, rng, 2+rng.Intn(7))
-		for _, th := range []float64{0, 0.8, 10} {
-			want := EvaluateGreedy(l, Options{GrowThreshold: th})
-			for _, workers := range []int{1, 2, 4, -1} {
-				got := EvaluateGreedy(l, Options{GrowThreshold: th, Workers: workers})
-				if !refsEqual(got, want) {
-					t.Fatalf("iter %d th=%v workers=%d: %v != %v",
-						iter, th, workers, got.Conjuncts, want.Conjuncts)
-				}
-			}
-		}
-	}
-}
-
-// TestEvaluateGreedyParallelBudgetSemantics: under a positive pair
-// budget the parallel path may classify borderline pairs differently
-// (documented), but the represented set must be unchanged.
-func TestEvaluateGreedyParallelBudgetSemantics(t *testing.T) {
-	m := newM(t)
-	rng := rand.New(rand.NewSource(93))
-	for iter := 0; iter < 20; iter++ {
-		l := randList(m, rng, 2+rng.Intn(6))
-		want := l.Explicit()
-		for _, opt := range []Options{
-			{PairBudgetFactor: 1.5, Workers: 2},
-			{PairBudgetFactor: 0.5, GrowThreshold: 3, Workers: 3},
-		} {
-			out := EvaluateGreedy(l, opt)
-			if out.Explicit() != want {
-				t.Fatalf("iter %d %+v: parallel budget run changed semantics", iter, opt)
-			}
-		}
-	}
-}
-
-// TestSimplifyAndEvaluateParallel drives the full policy with workers.
-func TestSimplifyAndEvaluateParallel(t *testing.T) {
-	m := newM(t)
-	rng := rand.New(rand.NewSource(94))
-	for iter := 0; iter < 20; iter++ {
-		l := randList(m, rng, 1+rng.Intn(6))
-		seq := SimplifyAndEvaluate(l, Options{})
-		parl := SimplifyAndEvaluate(l, Options{Workers: 3})
-		if !refsEqual(seq, parl) {
-			t.Fatalf("iter %d: parallel policy diverged: %v != %v", iter, parl.Conjuncts, seq.Conjuncts)
-		}
-	}
-}
-
 // TestGreedyNeverRescoresDeadIndices is the regression test for the
 // stale-pair invalidation fix: once an index is merged away, no pair
 // involving it may ever be scored again, and the total scoring work is
 // the initial table plus one row per merge — not a rescan.
 func TestGreedyNeverRescoresDeadIndices(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		m := newM(t)
-		rng := rand.New(rand.NewSource(95))
+	m := newM(t)
+	rng := rand.New(rand.NewSource(95))
 
-		var (
-			dead    map[int]bool
-			scored  int
-			merges  int
-			initial int
-		)
-		greedyScoreHook = func(i, j int) {
-			scored++
-			if dead[i] || dead[j] {
-				t.Fatalf("workers=%d: scored pair (%d,%d) with a dead index", workers, i, j)
-			}
+	var (
+		dead    map[int]bool
+		scored  int
+		merges  int
+		initial int
+	)
+	greedyScoreHook = func(i, j int) {
+		scored++
+		if dead[i] || dead[j] {
+			t.Fatalf("scored pair (%d,%d) with a dead index", i, j)
 		}
-		greedyMergeHook = func(i, j int) {
-			merges++
-			dead[j] = true
-		}
-		defer func() { greedyScoreHook, greedyMergeHook = nil, nil }()
+	}
+	greedyMergeHook = func(i, j int) {
+		merges++
+		dead[j] = true
+	}
+	defer func() { greedyScoreHook, greedyMergeHook = nil, nil }()
 
-		for iter := 0; iter < 20; iter++ {
-			n := 3 + rng.Intn(6)
-			l := randList(m, rng, n)
-			n = l.Len() // normalization may shrink
-			if n < 2 {
-				continue
-			}
-			dead = map[int]bool{}
-			scored, merges = 0, 0
-			initial = n * (n - 1) / 2
-			EvaluateGreedy(l, Options{GrowThreshold: 10, Workers: workers})
-			if scored > initial+merges*(n-1) {
-				t.Fatalf("workers=%d iter %d: scored %d pairs > initial %d + merges %d × row %d",
-					workers, iter, scored, initial, merges, n-1)
-			}
+	for iter := 0; iter < 20; iter++ {
+		n := 3 + rng.Intn(6)
+		l := randList(m, rng, n)
+		n = l.Len() // normalization may shrink
+		if n < 2 {
+			continue
+		}
+		dead = map[int]bool{}
+		scored, merges = 0, 0
+		initial = n * (n - 1) / 2
+		EvaluateGreedy(l, Options{GrowThreshold: 10})
+		if scored > initial+merges*(n-1) {
+			t.Fatalf("iter %d: scored %d pairs > initial %d + merges %d × row %d",
+				iter, scored, initial, merges, n-1)
 		}
 	}
 }
@@ -156,9 +98,9 @@ func TestGreedyNeverRescoresDeadIndices(t *testing.T) {
 // guarded ratio denominator: a list built directly — bypassing the
 // constant-stripping of NewList/Normalize — may carry One (or Zero, or
 // duplicated constant) conjuncts into the scorers. The ratio must stay
-// finite (no NaN/Inf from a degenerate BDDSize(X_i, X_j)), the three
-// scoring paths (heap, rescan reference, parallel) must remain
-// Ref-identical, and the represented conjunction must be preserved.
+// finite (no NaN/Inf from a degenerate BDDSize(X_i, X_j)), the heap path
+// and the rescan reference must remain Ref-identical, and the
+// represented conjunction must be preserved.
 func TestEvaluateGreedyConstantConjuncts(t *testing.T) {
 	m := newM(t)
 	rng := rand.New(rand.NewSource(98))
@@ -187,48 +129,55 @@ func TestEvaluateGreedyConstantConjuncts(t *testing.T) {
 			if got := heap.Explicit(); got != want {
 				t.Fatalf("list %d opts[%d]: semantics changed", li, oi)
 			}
-			if opt.PairBudgetFactor == 0 {
-				parl := EvaluateGreedy(l, Options{GrowThreshold: opt.GrowThreshold, Workers: 2})
-				if !refsEqual(parl, heap) {
-					t.Fatalf("list %d opts[%d]: parallel %v != sequential %v", li, oi, parl.Conjuncts, heap.Conjuncts)
-				}
+		}
+	}
+}
+
+// TestEvaluateGreedyZeroCollapse: a merge producing Zero must collapse
+// the list.
+func TestEvaluateGreedyZeroCollapse(t *testing.T) {
+	m := newM(t)
+	x, y := m.VarRef(0), m.VarRef(1)
+	// No two conjuncts are syntactic complements, but the conjunction is empty.
+	l := NewList(m, m.Or(x, y), m.Or(x, y.Not()), m.Or(x.Not(), y), m.Or(x.Not(), y.Not()))
+	if out := EvaluateGreedy(l, Options{GrowThreshold: 10}); !out.IsFalse() {
+		t.Fatalf("empty conjunction not collapsed: %v", out)
+	}
+}
+
+// TestEvaluateGreedyBudgetThresholdSemantics: the pair budget, alone
+// and combined with a permissive threshold, never changes the
+// represented conjunction.
+func TestEvaluateGreedyBudgetThresholdSemantics(t *testing.T) {
+	m := newM(t)
+	rng := rand.New(rand.NewSource(93))
+	for iter := 0; iter < 20; iter++ {
+		l := randList(m, rng, 2+rng.Intn(6))
+		want := l.Explicit()
+		for _, opt := range []Options{
+			{PairBudgetFactor: 1.5},
+			{PairBudgetFactor: 0.5, GrowThreshold: 3},
+		} {
+			out := EvaluateGreedy(l, opt)
+			if out.Explicit() != want {
+				t.Fatalf("iter %d %+v: budget run changed semantics", iter, opt)
 			}
 		}
 	}
 }
 
-// TestEvaluateGreedyParallelZeroCollapse: a merge producing Zero must
-// collapse the list in parallel mode exactly as sequentially.
-func TestEvaluateGreedyParallelZeroCollapse(t *testing.T) {
-	m := newM(t)
-	x, y := m.VarRef(0), m.VarRef(1)
-	// No two conjuncts are syntactic complements, but the conjunction is empty.
-	l := NewList(m, m.Or(x, y), m.Or(x, y.Not()), m.Or(x.Not(), y), m.Or(x.Not(), y.Not()))
-	for _, workers := range []int{0, 3} {
-		out := EvaluateGreedy(l, Options{GrowThreshold: 10, Workers: workers})
-		if !out.IsFalse() {
-			t.Fatalf("workers=%d: empty conjunction not collapsed: %v", workers, out)
-		}
-	}
-}
-
-// TestEvaluateGreedyParallelSmallLists: degenerate inputs take the same
-// early exits as the sequential path.
-func TestEvaluateGreedyParallelSmallLists(t *testing.T) {
-	m := newM(t)
-	if out := EvaluateGreedy(List{M: m}, Options{Workers: 2}); !out.IsTrue() {
+// TestEvaluateGreedyEmptyList: the empty list takes the early exit and
+// stays True (TestEvaluateGreedySingleton covers one conjunct).
+func TestEvaluateGreedyEmptyList(t *testing.T) {
+	if out := EvaluateGreedy(List{M: newM(t)}, Options{}); !out.IsTrue() {
 		t.Fatal("empty list mangled")
 	}
-	one := List{M: m, Conjuncts: []bdd.Ref{m.VarRef(0)}}
-	if out := EvaluateGreedy(one, Options{Workers: 2}); out.Len() != 1 || out.Conjuncts[0] != m.VarRef(0) {
-		t.Fatal("singleton list mangled")
-	}
 }
 
-// TestEvaluateGreedyParallelGuardsLimit: a worker blowing the inherited
-// node limit surfaces as a *bdd.LimitError through Guard, matching the
-// sequential resource-abort contract.
-func TestEvaluateGreedyParallelGuardsLimit(t *testing.T) {
+// TestEvaluateGreedyGuardsLimit: a node limit blown while scoring pairs
+// surfaces as a *bdd.LimitError through Guard, the resource-abort
+// contract the verify harness relies on.
+func TestEvaluateGreedyGuardsLimit(t *testing.T) {
 	m := bdd.New()
 	m.NewVars("x", 16)
 	rng := rand.New(rand.NewSource(96))
@@ -251,15 +200,15 @@ func TestEvaluateGreedyParallelGuardsLimit(t *testing.T) {
 		cs[i] = f
 	}
 	l := NewList(m, cs...)
-	// Workers inherit the limit but start from an empty table: pick a
-	// bound the transferred mirror alone cannot fit under.
-	m.SetNodeLimit(m.NumNodes() / 4)
+	// Leave room for a few fresh nodes only: the pair conjunctions of
+	// dense functions need far more.
+	m.SetNodeLimit(m.NumNodes() + 16)
 	defer m.SetNodeLimit(0)
 	err := bdd.Guard(func() {
-		EvaluateGreedy(l, Options{Workers: 2})
+		EvaluateGreedy(l, Options{})
 	})
 	if err == nil {
-		t.Fatal("expected a limit error from a worker")
+		t.Fatal("expected a limit error")
 	}
 	if _, ok := err.(*bdd.LimitError); !ok {
 		t.Fatalf("got %T (%v), want *bdd.LimitError", err, err)
@@ -268,9 +217,7 @@ func TestEvaluateGreedyParallelGuardsLimit(t *testing.T) {
 
 // TestEvalStatsCounters: the public stats seam must agree with the
 // white-box hooks (PairsScored counts exactly the hook-reported scoring
-// calls, MergesApplied the hook-reported merges) and be identical
-// between the sequential and parallel drivers when no pair budget is in
-// play.
+// calls, MergesApplied the hook-reported merges).
 func TestEvalStatsCounters(t *testing.T) {
 	m := newM(t)
 	rng := rand.New(rand.NewSource(97))
@@ -298,12 +245,6 @@ func TestEvalStatsCounters(t *testing.T) {
 		}
 		if seq.Rounds == 0 || seq.BudgetOverflow != 0 {
 			t.Fatalf("iter %d: unexpected rounds=%d overflow=%d", iter, seq.Rounds, seq.BudgetOverflow)
-		}
-
-		parl := EvalStats{}
-		EvaluateGreedy(l, Options{GrowThreshold: 10, Workers: 3, Stats: &parl})
-		if parl != seq {
-			t.Fatalf("iter %d: parallel stats %+v != sequential %+v", iter, parl, seq)
 		}
 	}
 }

@@ -64,21 +64,11 @@ type Params struct {
 	// FSM is the inline FSM-toolkit `.fsm` JSON source (KindFSM): the
 	// seed file carries the whole machine, so it replays anywhere.
 	FSM string `json:"fsm,omitempty"`
-
-	// Shared builds the instance on a shared-memory concurrent manager
-	// (bdd.NewShared), so every engine's run — images through the Par*
-	// entry points, the sharedscore ablation's concurrent pair scoring —
-	// exercises the sharded table and striped cache under the same
-	// differential cross-check as the sequential manager (any Kind).
-	// Verdict-level determinism is preserved: canonicity makes the
-	// traversal's functions identical, and reports carry no Refs.
-	Shared bool `json:"shared,omitempty"`
 }
 
 // Instance is one generated verification task. The Problem and Machine
 // live on their own fresh Manager; Model is the manager-independent IR
-// it was instantiated from, so the same instance can replay on any
-// manager mode.
+// it was instantiated from.
 type Instance struct {
 	Params  Params
 	Model   *ir.Model
@@ -195,16 +185,7 @@ func Generate(p Params) (Instance, error) {
 	if err != nil {
 		return Instance{}, err
 	}
-	// Two workers is enough to make the shared manager actually fork
-	// inside Par* operations while keeping per-instance overhead small
-	// at fuzzing sizes.
-	var m *bdd.Manager
-	if p.Shared {
-		m = bdd.NewShared(2, 14)
-	} else {
-		m = bdd.New()
-	}
-	prob, err := mo.Instantiate(m)
+	prob, err := mo.Instantiate(bdd.New())
 	if err != nil {
 		return Instance{}, fmt.Errorf("difftest: instantiating %s: %w", mo.Name, err)
 	}
@@ -345,9 +326,6 @@ func RandomParams(rng *rand.Rand) Params {
 		p.Constraint = rng.Intn(4) == 0
 		p.ConstGood = rng.Intn(8) == 0
 	}
-	// A quarter of every kind runs on the shared-memory concurrent
-	// manager, cross-checking it against the sequential one and the
-	// oracle throughout the campaign.
-	p.Shared = rng.Intn(4) == 0
+	_ = rng.Intn(4) // unused draw kept: bench/zipf.go takes models and engines from this rng, and icifuzz -seed N replays it
 	return p
 }

@@ -42,25 +42,25 @@ func (ma *Machine) PreImageWithin(z bdd.Ref, within []bdd.Ref) bdd.Ref {
 	m := ma.M
 	if ma.PreImageMode == PreRelational {
 		acc := m.Rename(z, ma.cur, ma.next)
-		acc = m.ParAnd(acc, ma.constraint)
+		acc = m.And(acc, ma.constraint)
 		for _, w := range within {
-			acc = m.ParAnd(acc, w)
+			acc = m.And(acc, w)
 			if acc == bdd.Zero {
 				return bdd.Zero
 			}
 		}
 		acc = m.Exists(acc, ma.preSeedQuant)
 		for _, p := range ma.preTransition {
-			acc = m.ParAndExists(acc, p.rel, p.quant)
+			acc = m.AndExists(acc, p.rel, p.quant)
 			if acc == bdd.Zero {
 				return bdd.Zero
 			}
 		}
 		return acc
 	}
-	acc := m.ParAnd(ma.constraint, ma.sub.Compose(z))
+	acc := m.And(ma.constraint, ma.sub.Compose(z))
 	for _, w := range within {
-		acc = m.ParAnd(acc, w)
+		acc = m.And(acc, w)
 		if acc == bdd.Zero {
 			return bdd.Zero
 		}

@@ -19,9 +19,9 @@ func readSample(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestImportVerdicts imports every sample machine, instantiates it on
-// both manager kinds, and checks the expected verdict and depth — the
-// end-to-end importer contract.
+// TestImportVerdicts imports every sample machine, instantiates it, and
+// checks the expected verdict and depth — the end-to-end importer
+// contract.
 func TestImportVerdicts(t *testing.T) {
 	cases := []struct {
 		file    string
@@ -41,35 +41,27 @@ func TestImportVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []string{"perworker", "shared"} {
-				var m *bdd.Manager
-				if mode == "shared" {
-					m = bdd.NewShared(2, 14)
-				} else {
-					m = bdd.New()
+			prob, err := mo.Instantiate(bdd.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := verify.Run(prob, verify.Forward, verify.Options{WantTrace: true})
+			if res.Outcome != tc.outcome {
+				t.Fatalf("outcome %v, want %v", res.Outcome, tc.outcome)
+			}
+			if tc.outcome == verify.Violated {
+				if res.ViolationDepth != tc.depth {
+					t.Errorf("violation depth %d, want %d", res.ViolationDepth, tc.depth)
 				}
-				prob, err := mo.Instantiate(m)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
+				if res.Trace == nil {
+					t.Fatal("violated without a trace")
 				}
-				res := verify.Run(prob, verify.Forward, verify.Options{WantTrace: true})
-				if res.Outcome != tc.outcome {
-					t.Fatalf("%s: outcome %v, want %v", mode, res.Outcome, tc.outcome)
+				gl := prob.GoodList
+				if len(gl) == 0 {
+					gl = []bdd.Ref{prob.Good}
 				}
-				if tc.outcome == verify.Violated {
-					if res.ViolationDepth != tc.depth {
-						t.Errorf("%s: violation depth %d, want %d", mode, res.ViolationDepth, tc.depth)
-					}
-					if res.Trace == nil {
-						t.Fatalf("%s: violated without a trace", mode)
-					}
-					gl := prob.GoodList
-					if len(gl) == 0 {
-						gl = []bdd.Ref{prob.Good}
-					}
-					if err := res.Trace.Validate(prob.Machine, gl); err != nil {
-						t.Errorf("%s: trace does not replay: %v", mode, err)
-					}
+				if err := res.Trace.Validate(prob.Machine, gl); err != nil {
+					t.Errorf("trace does not replay: %v", err)
 				}
 			}
 		})

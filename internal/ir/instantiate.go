@@ -12,9 +12,8 @@ import (
 // the variables in declaration order, evaluates the expression DAG
 // (memoized per node, so shared subgraphs are built once), assembles
 // the machine, and seals it. It is the single place any frontend turns
-// IR into BDDs, and it behaves identically on per-worker and shared
-// managers — the result is a function of the declaration order alone,
-// by BDD canonicity.
+// IR into BDDs, and the result is a function of the declaration order
+// alone, by BDD canonicity.
 //
 // Replicated next-state functions — state bits whose DAGs are
 // isomorphic up to variable renaming, the signature of the zoo's

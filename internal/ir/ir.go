@@ -5,9 +5,9 @@
 // conjuncts, an optional monolithic goal, functional dependencies, and
 // named parameters). A Model carries no BDDs and references no manager;
 // Instantiate builds the verify.Problem on any caller-supplied manager
-// — per-worker or shared — and produces identical functions on both,
-// because BDD canonicity makes the result depend only on the variable
-// declaration order the IR fixes.
+// and produces identical functions on every one, because BDD
+// canonicity makes the result depend only on the variable declaration
+// order the IR fixes.
 //
 // The IR also has a canonical serialized form (Format) that extends the
 // lang surface syntax, so Go-built models, text submissions, and .fsm

@@ -44,45 +44,36 @@ func TestIsoInstantiateMatchesBaseline(t *testing.T) {
 		t.Run(mb.entry, func(t *testing.T) {
 			mo := buildZoo(t, mb.entry, mb.size)
 
-			for _, shared := range []bool{false, true} {
-				var ma, mbase *bdd.Manager
-				if shared {
-					ma = bdd.NewShared(2, 14)
-				} else {
-					ma = bdd.New()
-				}
-				mbase = bdd.New()
+			ma, mbase := bdd.New(), bdd.New()
+			pIso, err := mo.Instantiate(ma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pBase, err := mo.InstantiateNoIso(mbase)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				pIso, err := mo.Instantiate(ma)
-				if err != nil {
-					t.Fatal(err)
+			same := func(what string, a, b bdd.Ref) {
+				if got := bdd.Transfer(ma, mbase, b, nil); got != a {
+					t.Errorf("%s differs between iso and baseline instantiation", what)
 				}
-				pBase, err := mo.InstantiateNoIso(mbase)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				same := func(what string, a, b bdd.Ref) {
-					if got := bdd.Transfer(ma, mbase, b, nil); got != a {
-						t.Errorf("shared=%v: %s differs between iso and baseline instantiation", shared, what)
-					}
-				}
-				same("init", pIso.Machine.Init(), pBase.Machine.Init())
-				same("constraint", pIso.Machine.InputConstraint(), pBase.Machine.InputConstraint())
-				same("goal", pIso.Good, pBase.Good)
-				if len(pIso.GoodList) != len(pBase.GoodList) {
-					t.Fatalf("shared=%v: good-list lengths differ", shared)
-				}
-				for i := range pIso.GoodList {
-					same("good conjunct", pIso.GoodList[i], pBase.GoodList[i])
-				}
-				curA, curB := pIso.Machine.CurVars(), pBase.Machine.CurVars()
-				if len(curA) != len(curB) {
-					t.Fatalf("shared=%v: state-bit counts differ", shared)
-				}
-				for i, v := range curA {
-					same("next-state function", pIso.Machine.NextFn(v), pBase.Machine.NextFn(curB[i]))
-				}
+			}
+			same("init", pIso.Machine.Init(), pBase.Machine.Init())
+			same("constraint", pIso.Machine.InputConstraint(), pBase.Machine.InputConstraint())
+			same("goal", pIso.Good, pBase.Good)
+			if len(pIso.GoodList) != len(pBase.GoodList) {
+				t.Fatal("good-list lengths differ")
+			}
+			for i := range pIso.GoodList {
+				same("good conjunct", pIso.GoodList[i], pBase.GoodList[i])
+			}
+			curA, curB := pIso.Machine.CurVars(), pBase.Machine.CurVars()
+			if len(curA) != len(curB) {
+				t.Fatal("state-bit counts differ")
+			}
+			for i, v := range curA {
+				same("next-state function", pIso.Machine.NextFn(v), pBase.Machine.NextFn(curB[i]))
 			}
 		})
 	}

@@ -13,8 +13,7 @@ import (
 // the same order, and Ref-identical initial set, input constraint,
 // next-state functions, monolithic property, good list, and functional
 // dependencies when both are elaborated against the same variable
-// order. The IR build runs on its own manager (per-worker and shared);
-// each component is transferred into the legacy manager, where BDD
+// order. The IR build runs on its own manager; each component is transferred into the legacy manager, where BDD
 // canonicity makes Ref equality equivalent to function equality.
 
 type crosscheckCase struct {
@@ -152,23 +151,6 @@ func TestIRMatchesLegacy(t *testing.T) {
 			mI := bdd.New()
 			got := tc.ir(mI)
 			assertProblemIdentical(t, mL, want, mI, got)
-		})
-	}
-}
-
-// TestIRMatchesLegacyShared instantiates the IR build on a shared
-// (concurrent) manager and requires the same Ref-identity — the single
-// Instantiate backend must behave identically on both manager kinds.
-func TestIRMatchesLegacyShared(t *testing.T) {
-	for _, tc := range crosscheckCases() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			mL := bdd.New()
-			want := tc.legacy(mL)
-			mS := bdd.NewShared(2, 14)
-			got := tc.ir(mS)
-			assertProblemIdentical(t, mL, want, mS, got)
 		})
 	}
 }

@@ -1,14 +1,14 @@
-// Package par provides the worker-pool primitive behind the repo's
-// parallel execution layer: parallel pair scoring in the core evaluation
-// policy (internal/core) and the concurrent bench grid (internal/bench).
+// Package par provides the worker-pool primitives behind the repo's
+// parallel execution: the concurrent bench grid (internal/bench) and the
+// icid job scheduler (internal/server).
 //
 // The design constraint comes from the BDD substrate: a bdd.Manager is
 // not safe for concurrent use, so parallelism in this codebase is always
-// "one Manager per worker" with explicit hand-off (bdd.Transfer) at the
-// boundaries. The pool therefore exposes a stable worker identity to
-// every task: tasks that share a worker id never run concurrently, which
-// lets callers attach per-worker state (a Manager, a scratch buffer)
-// without any locking.
+// "one Manager per task" — every bench cell and every icid job builds
+// its own. The pool exposes a stable worker identity to every task:
+// tasks that share a worker id never run concurrently, which lets
+// callers attach per-worker state (a scratch buffer) without any
+// locking.
 package par
 
 import (

@@ -278,9 +278,6 @@ func mergeOptions(member, batch OptionsSpec) OptionsSpec {
 	if member.Termination == "" {
 		member.Termination = batch.Termination
 	}
-	if member.Workers == 0 {
-		member.Workers = batch.Workers
-	}
 	if member.GrowThreshold == 0 {
 		member.GrowThreshold = batch.GrowThreshold
 	}

@@ -52,11 +52,15 @@ func newResultCache(capacity int) *resultCache {
 // byte-identical work, so `termination:""` and `"exact"` share an
 // entry, as do `node_limit:-1` and an explicit ask for the daemon's
 // clamp maximum.
+//
+// The literal "workers=0" is what earlier builds hashed for the removed
+// options.workers field's default; it stays so that proof stores they
+// wrote still hit.
 func cacheKey(modelIdentity, engine string, opt verify.Options, budget resource.Budget) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00term=%d workers=%d grow=%g trace=%t gc=%d\x00nodes=%d timeout=%d iter=%d",
+	fmt.Fprintf(h, "%s\x00%s\x00term=%d workers=0 grow=%g trace=%t gc=%d\x00nodes=%d timeout=%d iter=%d",
 		modelIdentity, engine,
-		opt.Termination, opt.Workers, opt.Core.GrowThreshold, opt.WantTrace, opt.GCEvery,
+		opt.Termination, opt.Core.GrowThreshold, opt.WantTrace, opt.GCEvery,
 		budget.NodeLimit, int64(budget.Timeout), budget.MaxIterations)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -714,6 +714,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown-field", `{"builtin":"fifo","frobnicate":1}`, http.StatusBadRequest},
 		{"bad-budget", `{"builtin":"fifo","budget":{"node_limit":-7}}`, http.StatusBadRequest},
 		{"bad-workers", `{"builtin":"fifo","options":{"workers":-2}}`, http.StatusBadRequest},
+		{"removed-workers", `{"builtin":"fifo","options":{"workers":2}}`, http.StatusBadRequest},
 		{"bad-gc-every", `{"builtin":"fifo","options":{"gc_every":-1}}`, http.StatusBadRequest},
 		{"bad-grow-threshold", `{"builtin":"fifo","options":{"grow_threshold":-0.5}}`, http.StatusBadRequest},
 	}

@@ -29,7 +29,7 @@ func (t *Trace) Len() int { return len(t.Inputs) }
 // checkAssignment verifies that one assignment vector of the trace is
 // long enough to be indexed by every manager variable. Assignments are
 // captured at trace-construction time, so a manager that grew variables
-// afterwards (a later model on the same manager, a worker transfer)
+// afterwards (a later model on the same manager)
 // leaves the vectors short — indexing them blind would panic.
 func checkAssignment(what string, i int, s []bool, nvars int) error {
 	if len(s) < nvars {

@@ -128,23 +128,6 @@ type Options struct {
 	// Core configures the XICI evaluation & simplification policy.
 	Core core.Options
 
-	// Workers enables parallel pair scoring inside the evaluation
-	// policy of the implicit-conjunction engines: it is copied into
-	// Core.Workers when that is zero (see core.Options.Workers for the
-	// contract; 0 = sequential, < 0 = GOMAXPROCS). Results are
-	// identical to a sequential run whenever Core.PairBudgetFactor
-	// is zero.
-	Workers int
-
-	// SharedManager opts the run into the shared-memory parallel path
-	// when the problem's Manager is in concurrent mode (bdd.NewShared):
-	// pair scoring and image computation run against the one manager
-	// with no per-worker mirrors or Transfer hand-off (it is copied to
-	// Core.SharedManager; see core.Options.SharedManager for the exact
-	// applicability conditions). On a sequential manager it is a no-op,
-	// so it is safe to set unconditionally from flag plumbing.
-	SharedManager bool
-
 	// Termination selects the convergence test for ICI-family engines.
 	Termination TerminationMode
 
@@ -229,12 +212,11 @@ type Result struct {
 
 	// Term accumulates the Section III.B exact termination test's
 	// effort counters across the run (zero for engines that never run
-	// the exact test). With Workers set and Core.PairBudgetFactor == 0
-	// the counters are identical to a sequential run.
+	// the exact test).
 	Term core.TermStats
 
 	// Eval accumulates the Section III.A greedy evaluation's effort
-	// counters across the run, under the same determinism contract.
+	// counters across the run.
 	Eval core.EvalStats
 
 	// PhaseDurations is the run's wall time attributed per engine phase
@@ -329,12 +311,6 @@ func RunContext(ctx context.Context, p Problem, method Method, opt Options) Resu
 		panic(fmt.Sprintf("verify: unknown method %q", method))
 	}
 	m := p.Machine.M
-	if opt.Workers != 0 && opt.Core.Workers == 0 {
-		opt.Core.Workers = opt.Workers
-	}
-	if opt.SharedManager {
-		opt.Core.SharedManager = true
-	}
 	// Stats sinks are per-run: a caller reusing one Options value across
 	// runs must see each run's counters alone, not a silent accumulation
 	// (which also breaks the TermStats bucket invariant and turns

@@ -10,8 +10,8 @@ import (
 
 // TestSmoke is the registry acceptance gate (mirrored by the CI
 // zoo-smoke job): every registered entry must build at its smallest
-// size, instantiate on both manager kinds, and produce an agreeing
-// definite verdict from two engines under a small budget.
+// size, instantiate, and produce an agreeing definite verdict from two
+// engines under a small budget.
 func TestSmoke(t *testing.T) {
 	if len(Names()) < 10 {
 		t.Fatalf("registry has %d entries, want >= 10", len(Names()))
@@ -29,31 +29,22 @@ func TestSmoke(t *testing.T) {
 				t.Fatalf("build at smallest size: %v", err)
 			}
 
+			prob, err := mo.Instantiate(bdd.New())
+			if err != nil {
+				t.Fatalf("instantiate: %v", err)
+			}
 			var first verify.Outcome
-			haveFirst := false
-			for _, mode := range []string{"perworker", "shared"} {
-				var m *bdd.Manager
-				if mode == "shared" {
-					m = bdd.NewShared(2, 14)
-				} else {
-					m = bdd.New()
+			for i, method := range []verify.Method{verify.Forward, verify.XICI} {
+				res := verify.Run(prob, method, verify.Options{
+					Budget: resource.Budget{NodeLimit: 4 << 20},
+				})
+				if res.Outcome != verify.Verified && res.Outcome != verify.Violated {
+					t.Fatalf("%s: indefinite outcome %v (%s)", method, res.Outcome, res.Cause())
 				}
-				prob, err := mo.Instantiate(m)
-				if err != nil {
-					t.Fatalf("%s: instantiate: %v", mode, err)
-				}
-				for _, method := range []verify.Method{verify.Forward, verify.XICI} {
-					res := verify.Run(prob, method, verify.Options{
-						Budget: resource.Budget{NodeLimit: 4 << 20},
-					})
-					if res.Outcome != verify.Verified && res.Outcome != verify.Violated {
-						t.Fatalf("%s/%s: indefinite outcome %v (%s)", mode, method, res.Outcome, res.Cause())
-					}
-					if !haveFirst {
-						first, haveFirst = res.Outcome, true
-					} else if res.Outcome != first {
-						t.Fatalf("%s/%s: outcome %v disagrees with %v", mode, method, res.Outcome, first)
-					}
+				if i == 0 {
+					first = res.Outcome
+				} else if res.Outcome != first {
+					t.Fatalf("%s: outcome %v disagrees with %v", method, res.Outcome, first)
 				}
 			}
 		})
