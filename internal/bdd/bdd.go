@@ -133,6 +133,10 @@ type Manager struct {
 	// ProtectPermanent, making that registration idempotent per manager.
 	permRoots map[Ref]struct{}
 
+	// supportMark is Support's visited bitset, one bit per node slot;
+	// every bit is clear between calls.
+	supportMark []uint64
+
 	// Transfer memo scratch: a slice-indexed memo with a generation
 	// stamp instead of a per-call map, owned by the destination manager
 	// of a Transfer.

@@ -1,7 +1,5 @@
 package bdd
 
-import "time"
-
 // Operation tags for the computed cache. Each memoized operation gets a
 // distinct tag so results of different operations on the same operands
 // cannot collide.
@@ -95,16 +93,15 @@ func cacheHash(op uint32, f, g, h Ref) uint32 {
 }
 
 // lookup probes the cache. The Manager funnels all probes through here so
-// hit-rate statistics stay centralized. This is also a deadline
-// checkpoint: when the direct-mapped cache thrashes, a recursion can
-// spin through already-allocated nodes indefinitely without ever calling
-// alloc, so the allocation-side check alone would never fire.
+// hit-rate statistics stay centralized. This is also a budget
+// checkpoint (deadline and cancellation alike): a recursion whose nodes
+// all exist already — a thrashing direct-mapped cache, or a rerun after
+// a cache clear — hits the unique table every time and never reaches
+// alloc's check.
 func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
 	m.stats.CacheLookups++
-	if !m.deadline.IsZero() && m.stats.CacheLookups%deadlineStride == 0 {
-		if time.Now().After(m.deadline) {
-			panic(&DeadlineError{Deadline: m.deadline})
-		}
+	if m.stats.CacheLookups%deadlineStride == 0 && (m.ctx != nil || !m.deadline.IsZero()) {
+		m.CheckBudget()
 	}
 	e := &m.cache.entries[cacheHash(op, f, g, h)&m.cache.mask]
 	if e.epoch == m.cache.cur && e.op == op && e.f == f && e.g == g && e.h == h {

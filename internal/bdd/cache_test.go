@@ -1,8 +1,12 @@
 package bdd
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/resource"
 )
 
 // TestCacheHashOperandIndependence pins the collision class the old
@@ -103,6 +107,36 @@ func TestSequentialCacheStillHits(t *testing.T) {
 	m.And(f, g)
 	if m.Stats().CacheHits == before {
 		t.Fatal("no cache hit on repeated And: epoch tagging broke stores")
+	}
+}
+
+// TestCacheLookupSeesCancel: a rerun of an And after a cache clear finds
+// every node in the unique table, so it never allocates and only the
+// cache-lookup checkpoint can observe a canceled context that carries no
+// deadline.
+func TestCacheLookupSeesCancel(t *testing.T) {
+	const n = 14
+	m := New()
+	xs := m.NewVars("x", n)
+	ys := m.NewVars("y", n)
+	f, g := One, One
+	for i := 0; i < n; i++ {
+		f = m.And(f, m.Xnor(m.VarRef(xs[i]), m.VarRef(ys[i])))
+		g = m.And(g, m.Xnor(m.VarRef(xs[i]), m.VarRef(ys[(i+1)%n])))
+	}
+	m.And(f, g)
+
+	m.cache.clear()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	defer m.ApplyBudget(resource.Budget{Ctx: ctx})()
+	created := m.Stats().Nodes
+	err := Guard(func() { m.And(f, g) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("rerun under a canceled context returned %v, want context.Canceled", err)
+	}
+	if m.Stats().Nodes != created {
+		t.Fatalf("rerun created %d nodes; the test needs an allocation-free recursion", m.Stats().Nodes-created)
 	}
 }
 

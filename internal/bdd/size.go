@@ -42,30 +42,43 @@ func (m *Manager) SharedSize(roots ...Ref) int {
 }
 
 // Support returns the variables f depends on, in ascending level order.
+// The walk marks visited nodes in the manager's supportMark bitset and
+// clears exactly those bits before returning, so it costs O(|f|) with no
+// map and no sort; the backward image chain calls it on every image.
 func (m *Manager) Support(f Ref) []Var {
-	seen := make(map[uint32]struct{})
-	levels := make(map[uint32]struct{})
-	var walk func(r Ref)
-	walk = func(r Ref) {
-		idx := r.index()
-		if _, ok := seen[idx]; ok {
-			return
-		}
-		seen[idx] = struct{}{}
-		n := &m.nodes[idx]
+	if need := (len(m.nodes) + 63) / 64; len(m.supportMark) < need {
+		m.supportMark = make([]uint64, need+need/2)
+	}
+	mark := m.supportMark
+	in := make([]bool, len(m.varNames))
+	count := 0
+	seen := []uint32{f.index()} // worklist and, once walked, the marks to clear
+	mark[f.index()/64] |= 1 << (f.index() % 64)
+	for i := 0; i < len(seen); i++ {
+		n := &m.nodes[seen[i]]
 		if n.level == terminalLevel {
-			return
+			continue
 		}
-		levels[n.level] = struct{}{}
-		walk(n.low)
-		walk(n.high)
+		if !in[n.level] {
+			in[n.level] = true
+			count++
+		}
+		for _, ch := range [2]Ref{n.low, n.high} {
+			if ci := ch.index(); mark[ci/64]&(1<<(ci%64)) == 0 {
+				mark[ci/64] |= 1 << (ci % 64)
+				seen = append(seen, ci)
+			}
+		}
 	}
-	walk(f)
-	vs := make([]Var, 0, len(levels))
-	for l := range levels {
-		vs = append(vs, Var(l))
+	for _, idx := range seen {
+		mark[idx/64] &^= 1 << (idx % 64)
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	vs := make([]Var, 0, count)
+	for l, ok := range in {
+		if ok {
+			vs = append(vs, Var(l))
+		}
+	}
 	return vs
 }
 

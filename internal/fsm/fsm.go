@@ -18,10 +18,16 @@
 //	PreImage(τ, Z)  = ∃ inp. C ∧ Z[cur ← f(cur, inp)]
 //	BackImage(τ, Z) = ∀ inp. C ⇒ Z[cur ← f(cur, inp)]
 //
-// PreImage and BackImage go through simultaneous functional composition
-// and never mention next-state variables at all; this is what makes the
-// per-conjunct BackImage of Theorem 1 cheap. Image uses a partitioned
-// transition relation with early quantification (ref [4] of the paper).
+// Image uses a partitioned transition relation with early quantification
+// (ref [4] of the paper). PreImage and BackImage have two routes, picked
+// by the machine's PreImageMode field. PreRelational, the default, runs
+// the same partition backward: Z renamed to next-state variables, then
+// one relational product per part, skipping every part whose quantified
+// variables the accumulator does not mention — for such a part
+// ∃next_i. acc ∧ (next_i ≡ f_i) = acc, so a per-conjunct BackImage of
+// Theorem 1 only pays for the bits its conjunct depends on. PreCompose
+// substitutes f into Z by simultaneous functional composition and never
+// mentions next-state variables at all.
 package fsm
 
 import (
@@ -87,6 +93,11 @@ const (
 type transPart struct {
 	rel   bdd.Ref
 	quant bdd.Ref
+
+	// Backward schedule only: the variables of quant, and those of rel's
+	// support outside quant — what running the part can add to the
+	// accumulator's support (see preChain).
+	quantVars, restVars []bdd.Var
 }
 
 // New creates an empty machine on m.

@@ -34,7 +34,7 @@ func (ma *Machine) Image(z bdd.Ref) bdd.Ref {
 func (ma *Machine) PreImage(z bdd.Ref) bdd.Ref {
 	ma.mustBeSealed()
 	if ma.PreImageMode == PreRelational {
-		return ma.preImageRel(z)
+		return ma.preImageRel(z, nil)
 	}
 	m := ma.M
 	composed := ma.sub.Compose(z)
@@ -52,8 +52,10 @@ func (ma *Machine) BackImage(z bdd.Ref) bdd.Ref {
 
 // BackImageList applies BackImage to every element of a list of BDDs —
 // Theorem 1: the BackImage of an implicit conjunction is the implicit
-// conjunction of the per-element BackImages. The substitution memo is
-// shared across the elements, so common subgraphs compose once.
+// conjunction of the per-element BackImages. Each element runs its own
+// chain on PreRelational, which skips the parts the element's support
+// cannot reach; on PreCompose the substitution memo is shared across
+// the elements, so common subgraphs compose once.
 func (ma *Machine) BackImageList(zs []bdd.Ref) []bdd.Ref {
 	out := make([]bdd.Ref, len(zs))
 	for i, z := range zs {

@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bdd"
@@ -82,6 +83,34 @@ func TestBuggedVariantsViolate(t *testing.T) {
 				t.Fatalf("bugged %s: trace does not replay: %v", tc.name, err)
 			}
 		})
+	}
+}
+
+// TestTable2FilterCounts pins Table 2's unassisted 8-bit filter under
+// XICI to the paper's exact counts: verdict, iterations, peak iterate
+// nodes and the conjunct profile at the peak.
+func TestTable2FilterCounts(t *testing.T) {
+	cases := []struct {
+		depth, iterations, nodes int
+		profile                  []int
+	}{
+		{4, 2, 146, []int{45, 102}},
+		{8, 3, 638, []int{81, 169, 390}},
+	}
+	for _, tc := range cases {
+		mo, err := Build("filter", Size{"depth": tc.depth, "width": 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := verify.Run(mo.MustInstantiate(bdd.New()), verify.XICI, verify.Options{
+			Budget: resource.Budget{NodeLimit: 4 << 20},
+		})
+		if res.Outcome != verify.Verified || res.Iterations != tc.iterations ||
+			res.PeakStateNodes != tc.nodes || !slices.Equal(res.PeakProfile, tc.profile) {
+			t.Errorf("depth %d: %v in %d iterations, %d nodes %v; want Verified in %d, %d nodes %v",
+				tc.depth, res.Outcome, res.Iterations, res.PeakStateNodes, res.PeakProfile,
+				tc.iterations, tc.nodes, tc.profile)
+		}
 	}
 }
 
