@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/resource"
@@ -23,9 +21,11 @@ import (
 // policy (the escalation ladder the members without an explicit engine
 // run), and a multiplexed NDJSON stream interleaving every member's
 // event lines — each labeled with its member id — with batch lifecycle
-// lines. The batch-wide drain guarantee mirrors the per-job one: the
-// final batch "done" line is appended before the batch's done channel
-// closes, so a client reading GET /batches/{id}/events to EOF has seen
+// lines. Members are ordinary jobs: they take the same resolve and
+// admit as a single POST /jobs, and the batch's log is the same eventLog
+// type. The batch-wide drain guarantee mirrors the per-job one: the
+// final batch "done" line goes in with the close of the batch's done
+// channel, so a client reading GET /batches/{id}/events to EOF has seen
 // the complete history, member verdicts included.
 
 // Batch states.
@@ -35,25 +35,21 @@ const (
 )
 
 type batch struct {
+	eventLog // mu also guards remaining
+
 	id        string
 	name      string
 	policy    []verify.Method
 	pool      *resource.Pool
 	submitted time.Time
 	members   []*job
+	remaining int
 
 	// ctx parents every member's lifecycle context, so one cancel (the
 	// DELETE handler, or batch completion releasing resources) reaches
 	// them all.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-
-	mu        sync.Mutex
-	state     string
-	remaining int
-	events    []json.RawMessage
-	changed   chan struct{}
-	done      chan struct{}
 }
 
 // batchLine is the NDJSON envelope of batch lifecycle markers.
@@ -90,30 +86,10 @@ func labelLine(member string, line json.RawMessage) json.RawMessage {
 	return b.Bytes()
 }
 
-// append adds one line to the batch's multiplexed buffer and wakes
-// subscribers.
-func (b *batch) append(line json.RawMessage) {
-	b.mu.Lock()
-	b.events = append(b.events, line)
-	close(b.changed)
-	b.changed = make(chan struct{})
-	b.mu.Unlock()
-}
-
-// snapshotFrom mirrors job.snapshotFrom for the batch buffer.
-func (b *batch) snapshotFrom(i int) (lines []json.RawMessage, changed chan struct{}, final bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if i < len(b.events) {
-		lines = b.events[i:len(b.events):len(b.events)]
-	}
-	return lines, b.changed, b.state == BatchDone
-}
-
 // memberDone is installed as every member's onDone hook. The last
-// member to finish seals the batch: tally, final "done" line, state
-// flip, done-channel close — in that order, so the batch-wide drain
-// guarantee (final line before channel close) holds.
+// member to finish seals the batch with the final "done" line, which
+// carries the status tally and closes the batch's done channel — after
+// every member's own lines, so the batch-wide drain guarantee holds.
 func (b *batch) memberDone() {
 	b.mu.Lock()
 	b.remaining--
@@ -122,54 +98,21 @@ func (b *batch) memberDone() {
 	if !last {
 		return
 	}
-	line := batchLine{Event: "done", State: BatchDone, Members: len(b.members)}
-	for _, j := range b.members {
-		st := j.status()
-		line.Attempts += len(st.Attempts)
-		for _, a := range st.Attempts {
-			if a.Escalated {
-				line.Escalations++
-			}
-		}
-		switch {
-		case st.State == StateError:
-			line.Errors++
-		case st.Result == nil:
-		case st.Result.Outcome == "verified":
-			line.Verified++
-		case st.Result.Outcome == "violated":
-			line.Violated++
-		default:
-			line.Exhausted++
-		}
+	st := b.status(false)
+	line := batchLine{
+		Event: "done", State: BatchDone, Members: len(b.members),
+		Verified: st.Verified, Violated: st.Violated, Exhausted: st.Exhausted, Errors: st.Errors,
+		Attempts: st.Attempts, Escalations: st.Escalations,
 	}
-	if nodes, _ := b.pool.Remaining(); nodes >= 0 {
-		line.PoolLeft = nodes
+	if st.Pool != nil && st.Pool.NodesLeft > 0 {
+		line.PoolLeft = st.Pool.NodesLeft
 	}
-	data, err := json.Marshal(line)
-	b.mu.Lock()
-	if err == nil {
-		b.events = append(b.events, data)
-	}
-	b.state = BatchDone
-	close(b.changed)
-	b.changed = make(chan struct{})
-	b.mu.Unlock()
-	close(b.done)
+	data, _ := json.Marshal(line) // strings and ints only: cannot fail
+	b.append(data, true)
 	b.cancel(errBatchFinished)
 }
 
 var errBatchFinished = fmt.Errorf("icid: batch finished")
-
-// terminal reports whether every member has finished.
-func (b *batch) terminal() bool {
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
-	}
-}
 
 // status snapshots the batch's wire status; withMembers controls
 // whether the (potentially large) member list rides along.
@@ -177,14 +120,15 @@ func (b *batch) status(withMembers bool) BatchStatus {
 	st := BatchStatus{
 		ID:          b.id,
 		Name:        b.name,
+		State:       BatchRunning,
 		SubmittedAt: b.submitted.UTC().Format(time.RFC3339Nano),
+	}
+	if b.terminal() {
+		st.State = BatchDone
 	}
 	for _, m := range b.policy {
 		st.Policy = append(st.Policy, string(m))
 	}
-	b.mu.Lock()
-	st.State = b.state
-	b.mu.Unlock()
 	nodes, deadline := b.pool.Remaining()
 	if nodes >= 0 || !deadline.IsZero() {
 		pw := &PoolWire{NodesLeft: nodes}
@@ -339,25 +283,14 @@ func gridSizeLabel(s zoo.Size) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// handleBatchSubmit is POST /batches: validate every member fully,
-// then admit the whole batch atomically — all members get queue slots
-// or the submission is rejected 503 with nothing registered and no
-// metric moved (the queue-full rollback contract, batch-wide).
+// handleBatchSubmit is POST /batches: resolve every member exactly
+// like a single POST /jobs, route the batch as one unit, then admit it
+// all-or-nothing — every member gets a queue slot or the submission is
+// rejected 503 with nothing registered and no metric moved.
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.accepting.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting jobs")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
 	var breq BatchRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	body, ok := s.decodeSubmission(w, r, 8<<20, &breq)
+	if !ok {
 		return
 	}
 	if len(breq.Jobs) == 0 {
@@ -378,31 +311,25 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Expand grid references, then validate and normalize every member
-	// exactly like a single POST /jobs — any failure rejects the whole
-	// batch before anything is registered.
-	var reqs []SubmitRequest
+	// Expand grid references and resolve every member: any failure
+	// rejects the whole batch before routing.
+	var jobs []*job
+	var identities []string
 	for i, entry := range breq.Jobs {
-		expanded, err := expandEntry(i, entry)
+		reqs, err := expandEntry(i, entry)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		reqs = append(reqs, expanded...)
-	}
-
-	// Normalize every member up front: validation errors reject the
-	// batch before routing, and the canonical identities feed both the
-	// batch routing key and the members' cache keys (normalizeModel is
-	// not idempotent, so the job-building loop below must not re-run it).
-	identities := make([]string, len(reqs))
-	for i := range reqs {
-		identity, err := normalizeModel(&reqs[i])
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
-			return
+		for _, req := range reqs {
+			j, err := s.resolve(req, &breq, policy)
+			if err != nil {
+				writeError(w, http.StatusBadRequest, "jobs[%d]: %v", len(jobs), err)
+				return
+			}
+			jobs = append(jobs, j)
+			identities = append(identities, j.identity)
 		}
-		identities[i] = identity
 	}
 	// A batch routes as one unit, keyed on all member identities — its
 	// members share one resource pool, which cannot split across nodes.
@@ -410,121 +337,26 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sliceSet := breq.Slice != (BudgetSpec{})
-	var sliceBudget resource.Budget
-	if sliceSet {
-		if sliceBudget, err = breq.Slice.budget(s.cfg); err != nil {
-			writeError(w, http.StatusBadRequest, "slice: %v", err)
-			return
-		}
-	}
-
 	b := &batch{
+		eventLog:  newEventLog(),
 		name:      breq.Name,
 		policy:    policy,
 		pool:      resource.NewPool(breq.Pool.NodeLimit, time.Duration(breq.Pool.TimeoutMS)*time.Millisecond),
-		submitted: time.Now(),
-		state:     BatchRunning,
-		changed:   make(chan struct{}),
-		done:      make(chan struct{}),
+		members:   jobs,
+		remaining: len(jobs),
 	}
-	b.ctx, b.cancel = context.WithCancelCause(s.baseCtx)
-
-	jobs := make([]*job, 0, len(reqs))
-	for i := range reqs {
-		req := reqs[i]
-		var ladder []verify.Method
-		switch {
-		case req.Engine != "":
-			meth, ok := verify.Resolve(req.Engine)
-			if !ok {
-				writeError(w, http.StatusBadRequest, "jobs[%d]: unknown engine %q (registered: %v)", i, req.Engine, verify.Registered())
-				return
-			}
-			req.Engine = string(meth)
-			ladder = []verify.Method{meth}
-		case len(policy) > 0:
-			ladder = policy
-		default:
-			req.Engine = string(verify.XICI)
-			ladder = []verify.Method{verify.XICI}
-		}
-		opt, err := mergeOptions(req.Options, breq.Options).options()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
-			return
-		}
-		budget, err := mergeBudget(req.Budget, breq.Budget).budget(s.cfg)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
-			return
-		}
-		j := newJob(req, ladder, b.ctx)
-		j.identity = identities[i]
-		j.opt = opt
-		j.budget = budget
-		j.slice = budget
-		if sliceSet {
-			j.slice = sliceBudget
-		}
-		j.batch = b
-		j.onDone = b.memberDone
-		jobs = append(jobs, j)
-	}
-	b.members = jobs
-	b.remaining = len(jobs)
-
-	// Atomic admission. Holding the write side of submitMu excludes
-	// every other submitter (and the drain's close), so checking free
-	// queue capacity and then sending are one indivisible step — the
-	// workers only ever drain the channel, so the reserved slots cannot
-	// disappear between the check and the sends.
-	s.submitMu.Lock()
-	if !s.accepting.Load() {
-		s.submitMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting jobs")
-		return
-	}
-	if free := cap(s.tasks) - len(s.tasks); free < len(jobs) {
-		s.submitMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable,
-			"queue has %d free slots, batch needs %d", cap(s.tasks)-len(s.tasks), len(jobs))
-		return
-	}
-	s.mu.Lock()
-	s.bseq++
-	b.id = fmt.Sprintf("b%05d", s.bseq)
-	for _, j := range jobs {
-		s.seq++
-		j.id = fmt.Sprintf("j%06d", s.seq)
-		member := j.id
-		j.tee = func(line json.RawMessage) { b.append(labelLine(member, line)) }
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-	}
-	s.batches[b.id] = b
-	s.border = append(s.border, b.id)
-	s.evictHistoryLocked()
-	s.evictBatchHistoryLocked()
-	s.mu.Unlock()
-
-	// The lifecycle line goes in before any member reaches a worker, so
-	// the multiplexed stream always opens with the batch line.
+	// The opening line goes in before any member can reach a worker, so
+	// the multiplexed stream always starts with it.
 	policyNames := make([]string, len(policy))
 	for i, m := range policy {
 		policyNames[i] = string(m)
 	}
-	if line, err := json.Marshal(batchLine{Event: "batch", State: BatchRunning, Members: len(jobs), Policy: policyNames}); err == nil {
-		b.append(line)
+	opening, _ := json.Marshal(batchLine{Event: "batch", State: BatchRunning, Members: len(jobs), Policy: policyNames}) // cannot fail
+	b.append(opening, false)
+	if err := s.admit(b, jobs...); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
 	}
-
-	s.met.batches.Add(1)
-	s.met.submitted.Add(int64(len(jobs)))
-	s.met.queued.Add(int64(len(jobs)))
-	for _, j := range jobs {
-		s.tasks <- j
-	}
-	s.submitMu.Unlock()
 
 	ids := make([]string, len(jobs))
 	for i, j := range jobs {
@@ -533,43 +365,12 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, BatchResponse{ID: b.id, Jobs: ids, Node: s.nodeName()})
 }
 
-// evictBatchHistoryLocked drops the oldest terminal batches past
-// JobHistory. Members referenced by a retained batch stay reachable
-// through it even after their own job-history eviction.
-func (s *Server) evictBatchHistoryLocked() {
-	excess := len(s.border) - s.cfg.JobHistory
-	if excess <= 0 {
-		return
-	}
-	kept := s.border[:0]
-	for _, id := range s.border {
-		b := s.batches[id]
-		if excess > 0 && b != nil && b.terminal() {
-			delete(s.batches, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.border = kept
-}
-
-func (s *Server) lookupBatch(id string) *batch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batches[id]
-}
-
 // handleBatchList is GET /batches: every retained batch's summary
 // status (members omitted), id-ordered.
 func (s *Server) handleBatchList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	batches := make([]*batch, 0, len(s.batches))
-	for _, b := range s.batches {
-		batches = append(batches, b)
-	}
+	batches := s.batches.list()
 	s.mu.Unlock()
-	sort.Slice(batches, func(i, k int) bool { return batches[i].id < batches[k].id })
 	out := make([]BatchStatus, len(batches))
 	for i, b := range batches {
 		out[i] = b.status(false)
@@ -580,12 +381,9 @@ func (s *Server) handleBatchList(w http.ResponseWriter, _ *http.Request) {
 // handleBatchStatus is GET /batches/{id}: the batch with full member
 // statuses, attempt records included.
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	b := s.lookupBatch(r.PathValue("id"))
-	if b == nil {
-		writeError(w, http.StatusNotFound, "no such batch %q", r.PathValue("id"))
-		return
+	if b, ok := find(s, &s.batches, w, r); ok {
+		writeJSON(w, http.StatusOK, b.status(true))
 	}
-	writeJSON(w, http.StatusOK, b.status(true))
 }
 
 // handleBatchCancel is DELETE /batches/{id}: cancel every member's
@@ -593,49 +391,8 @@ func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 // when a worker pops them; running members abort at their next budget
 // check. The batch seals itself once the last member lands.
 func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
-	b := s.lookupBatch(r.PathValue("id"))
-	if b == nil {
-		writeError(w, http.StatusNotFound, "no such batch %q", r.PathValue("id"))
-		return
-	}
-	b.cancel(fmt.Errorf("icid: batch canceled via DELETE /batches/%s", b.id))
-	writeJSON(w, http.StatusOK, b.status(false))
-}
-
-// handleBatchEvents is GET /batches/{id}/events: the multiplexed
-// NDJSON stream — member lines labeled with their job id, batch
-// lifecycle lines bracketing them, terminated by the batch "done"
-// line. ?follow=0 dumps the buffer so far and closes.
-func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	b := s.lookupBatch(r.PathValue("id"))
-	if b == nil {
-		writeError(w, http.StatusNotFound, "no such batch %q", r.PathValue("id"))
-		return
-	}
-	follow := r.URL.Query().Get("follow") != "0"
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	i := 0
-	for {
-		lines, changed, final := b.snapshotFrom(i)
-		for _, line := range lines {
-			w.Write(line)
-			w.Write([]byte("\n"))
-		}
-		i += len(lines)
-		if flusher != nil && len(lines) > 0 {
-			flusher.Flush()
-		}
-		if final || !follow {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
+	if b, ok := find(s, &s.batches, w, r); ok {
+		b.cancel(fmt.Errorf("icid: batch canceled via DELETE /batches/%s", b.id))
+		writeJSON(w, http.StatusOK, b.status(false))
 	}
 }

@@ -89,18 +89,20 @@ func (c *resultCache) get(key string) (*cacheEntry, bool) {
 
 // put stores an entry, evicting the least recently used past capacity;
 // it returns the number of entries evicted. Callers hold the server
-// mutex.
+// mutex. Entries are immutable: get hands them out to readers that
+// use them after the mutex is released, so a put of an existing key
+// swaps in a new entry rather than writing the old one.
 func (c *resultCache) put(key string, result *ResultWire, events []json.RawMessage) int {
 	if c.cap <= 0 {
 		return 0
 	}
+	entry := &cacheEntry{key: key, result: result, events: events}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).result = result
-		el.Value.(*cacheEntry).events = events
+		el.Value = entry
 		c.order.MoveToFront(el)
 		return 0
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, result: result, events: events})
+	c.entries[key] = c.order.PushFront(entry)
 	evicted := 0
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()

@@ -11,70 +11,108 @@ import (
 	"repro/internal/verify"
 )
 
-// job is one submitted verification task. Its event buffer holds
-// pre-marshaled NDJSON lines — engine events from the verify.Observer
-// adapter plus lifecycle markers — so the /events stream and the cache
-// replay are byte-identical and need no re-encoding. The buffer is
-// append-only; subscribers snapshot (length, change channel) under the
-// lock and replay the stable prefix outside it.
-type job struct {
-	id        string
-	identity  string // canonical model identity ("ir:" + canonical text)
-	name      string
-	req       SubmitRequest
-	opt       verify.Options  // normalized at submission, observer unset
-	budget    resource.Budget // resolved and clamped, Ctx unset
-	submitted time.Time
+// eventLog is the append-only buffer behind a job's or a batch's NDJSON
+// stream. It holds pre-marshaled lines, so the stream and a cache replay
+// are byte-identical and need no re-encoding. Followers snapshot (lines,
+// change channel, final) under mu and write the stable prefix outside
+// it. The last line goes in under the same lock that closes done, so a
+// reader that sees the log final has every line. mu also guards the
+// owning job's or batch's other mutable fields.
+type eventLog struct {
+	mu      sync.Mutex
+	lines   []json.RawMessage
+	changed chan struct{} // closed and replaced on every append
+	done    chan struct{} // closed with the last line
+}
 
-	// ladder is the job's engine sequence: a single engine for plain
-	// submissions, the batch's portfolio policy for members that
-	// inherit one. Every rung but the last runs under slice; the last
-	// runs under budget.
+func newEventLog() eventLog {
+	return eventLog{changed: make(chan struct{}), done: make(chan struct{})}
+}
+
+// log gives generic code (history, handleEvents) the log embedded in a
+// job or batch.
+func (l *eventLog) log() *eventLog { return l }
+
+// appendLocked appends one line and wakes followers; last makes it the
+// log's final line and closes done. The caller holds mu.
+func (l *eventLog) appendLocked(line json.RawMessage, last bool) {
+	l.lines = append(l.lines, line)
+	close(l.changed)
+	l.changed = make(chan struct{})
+	if last {
+		close(l.done)
+	}
+}
+
+func (l *eventLog) append(line json.RawMessage, last bool) {
+	l.mu.Lock()
+	l.appendLocked(line, last)
+	l.mu.Unlock()
+}
+
+// since returns the lines from index i on (aliasing the append-only
+// buffer, so stable), the current change channel, and whether the log
+// is final.
+func (l *eventLog) since(i int) (lines []json.RawMessage, changed chan struct{}, final bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i < len(l.lines) {
+		lines = l.lines[i:len(l.lines):len(l.lines)]
+	}
+	return lines, l.changed, l.terminal()
+}
+
+// terminal reports whether the last line is in, without taking mu.
+func (l *eventLog) terminal() bool {
+	select {
+	case <-l.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// job is one verification task: a POST /jobs body or a batch member,
+// built by Server.resolve and admitted by Server.admit. Its log holds the
+// engine events from the verify.Observer adapter plus lifecycle markers.
+type job struct {
+	eventLog // mu also guards state through cached
+
+	id       string
+	identity string // canonical model identity ("ir:" + canonical text)
+	name     string
+	req      SubmitRequest
+	opt      verify.Options  // normalized at submission, observer unset
+	budget   resource.Budget // resolved and clamped, Ctx unset
+
+	// ladder is the job's engine sequence: a single engine unless the
+	// job is a batch member inheriting the batch's portfolio policy.
+	// Every rung but the last runs under slice; the last runs under
+	// budget.
 	ladder []verify.Method
 	slice  resource.Budget
 
-	// batch is the owning batch (nil for single submissions); tee, when
-	// set, receives every appended event line for the batch's
-	// multiplexed stream, and onDone fires once the job is terminal.
-	batch  *batch
-	tee    func(json.RawMessage)
-	onDone func()
+	// Set by admit. batch is the owning batch (nil for a single
+	// submission); onDone fires once the job is terminal. ctx is the
+	// job's lifecycle context, derived from the server's base context or
+	// the batch's; cancel ends it (DELETE, the drain deadline, or the job
+	// finishing).
+	submitted time.Time
+	batch     *batch
+	onDone    func()
+	ctx       context.Context
+	cancel    context.CancelCauseFunc
 
-	// ctx is the job's lifecycle context, derived from the server's
-	// base context (or the owning batch's); cancel ends it (DELETE
-	// /jobs/{id}, or the drain deadline). reqCtx, for wait-mode
-	// submissions, is the HTTP request context the worker joins into
-	// the budget so a client disconnect cancels the run.
-	ctx    context.Context
-	cancel context.CancelCauseFunc
+	// reqCtx, for wait-mode submissions, is the HTTP request context the
+	// worker joins into the budget so a client disconnect cancels the run.
 	reqCtx context.Context
 
-	mu       sync.Mutex
 	state    string
 	engine   verify.Method // currently / last attempted engine
 	attempts []Attempt
-	events   []json.RawMessage
-	changed  chan struct{} // closed and replaced on every append / state change
 	result   *ResultWire
 	errMsg   string
 	cached   bool
-	done     chan struct{} // closed once the job is terminal
-}
-
-func newJob(req SubmitRequest, ladder []verify.Method, base context.Context) *job {
-	ctx, cancel := context.WithCancelCause(base)
-	return &job{
-		name:      req.Name,
-		engine:    ladder[0],
-		req:       req,
-		ladder:    ladder,
-		submitted: time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQueued,
-		changed:   make(chan struct{}),
-		done:      make(chan struct{}),
-	}
 }
 
 // lifecycleLine is the NDJSON envelope for job state transitions,
@@ -87,81 +125,67 @@ type lifecycleLine struct {
 	Error   string `json:"error,omitempty"`
 }
 
-func (j *job) notifyLocked() {
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
-// appendRaw appends one pre-marshaled NDJSON line and wakes
-// subscribers. The tee (the owning batch's multiplexed buffer) runs
-// after the job's own lock is released; lines of one job are appended
-// by one goroutine at a time, so the batch sees them in job order.
-func (j *job) appendRaw(line json.RawMessage) {
-	j.mu.Lock()
-	j.events = append(j.events, line)
-	j.notifyLocked()
-	j.mu.Unlock()
-	if j.tee != nil {
-		j.tee(line)
+// emit appends one pre-marshaled line to the job's log and, for a batch
+// member, a member-labeled copy to the batch's log. Lines of one job are
+// emitted by one goroutine at a time, so the batch sees them in job
+// order.
+func (j *job) emit(line json.RawMessage) {
+	j.append(line, false)
+	if j.batch != nil {
+		j.batch.append(labelLine(j.id, line), false)
 	}
 }
 
-// appendEvent marshals and appends one envelope (engine or lifecycle).
-func (j *job) appendEvent(v any) {
+// emitEvent marshals and emits one envelope (engine or lifecycle).
+func (j *job) emitEvent(v any) {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return // an unmarshalable event must not kill the run
 	}
-	j.appendRaw(line)
+	j.emit(line)
 }
 
 // setRunning transitions queued → running and logs the lifecycle line.
-// It returns false when the job is already terminal (canceled while
-// queued and finalized elsewhere).
-func (j *job) setRunning() bool {
+func (j *job) setRunning() {
 	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		return false
-	}
 	j.state = StateRunning
-	j.notifyLocked()
 	j.mu.Unlock()
-	j.appendEvent(lifecycleLine{Event: "status", State: StateRunning})
-	return true
+	j.emitEvent(lifecycleLine{Event: "status", State: StateRunning})
 }
 
-// finish makes the job terminal with a result. The final "done" line is
-// appended before the done channel closes, so a streaming client that
-// reads to the channel close always sees it — the drain guarantee. The
-// lifecycle context is released so terminal jobs don't accumulate as
-// children of the server's base context.
-func (j *job) finish(rw *ResultWire) {
-	j.appendEvent(lifecycleLine{Event: "done", State: StateDone, Outcome: rw.Outcome, Cause: rw.Cause})
+// finish makes the job terminal with rw or, when rw is nil, in the error
+// state with msg. State, result and the final "done" line land in one
+// critical section that also closes done, so whoever sees the job
+// terminal sees all three: the drain guarantee. The lifecycle context is
+// then released so terminal jobs don't accumulate as children of the
+// server's base context.
+func (j *job) finish(rw *ResultWire, msg string) {
+	ll := lifecycleLine{Event: "done", State: StateError, Error: msg}
+	if rw != nil {
+		ll = lifecycleLine{Event: "done", State: StateDone, Outcome: rw.Outcome, Cause: rw.Cause}
+	}
+	line, _ := json.Marshal(ll) // strings only: cannot fail
 	j.mu.Lock()
-	j.state = StateDone
-	j.result = rw
-	j.notifyLocked()
+	j.state, j.result, j.errMsg = ll.State, rw, msg
+	j.appendLocked(line, true)
 	j.mu.Unlock()
-	close(j.done)
+	if j.batch != nil {
+		j.batch.append(labelLine(j.id, line), false)
+	}
 	j.cancel(errJobFinished)
 	if j.onDone != nil {
 		j.onDone()
 	}
 }
 
-// fail makes the job terminal with an error message.
-func (j *job) fail(msg string) {
-	j.appendEvent(lifecycleLine{Event: "done", State: StateError, Error: msg})
+// replay marks the job answered from the result cache and emits the
+// cached run's engine lines as a live run would.
+func (j *job) replay(lines []json.RawMessage) {
 	j.mu.Lock()
-	j.state = StateError
-	j.errMsg = msg
-	j.notifyLocked()
+	j.cached = true
 	j.mu.Unlock()
-	close(j.done)
-	j.cancel(errJobFinished)
-	if j.onDone != nil {
-		j.onDone()
+	for _, line := range lines {
+		j.emit(line)
 	}
 }
 
@@ -170,14 +194,6 @@ func (j *job) fail(msg string) {
 func (j *job) setEngine(meth verify.Method) {
 	j.mu.Lock()
 	j.engine = meth
-	j.mu.Unlock()
-}
-
-// markCached flags the job as (at least partly) answered from the
-// result cache.
-func (j *job) markCached() {
-	j.mu.Lock()
-	j.cached = true
 	j.mu.Unlock()
 }
 
@@ -205,7 +221,7 @@ func (j *job) recordAttempt(a Attempt, rung int) {
 	multi := j.batch != nil || len(j.ladder) > 1
 	j.mu.Unlock()
 	if multi {
-		j.appendEvent(attemptLine{
+		j.emitEvent(attemptLine{
 			Event: "attempt", Engine: a.Engine, Rung: rung,
 			Outcome: a.Outcome, Cause: a.Cause, ElapsedMS: a.ElapsedMS,
 			Cached: a.Cached, Escalated: a.Escalated,
@@ -217,16 +233,6 @@ func (j *job) recordAttempt(a Attempt, rung int) {
 // its lifecycle context.
 var errJobFinished = fmt.Errorf("icid: job finished")
 
-// finishCached makes a fresh job terminal with a cached result and the
-// cached run's replayed event lines.
-func (j *job) finishCached(rw *ResultWire, events []json.RawMessage) {
-	j.mu.Lock()
-	j.cached = true
-	j.events = append(j.events, events...)
-	j.mu.Unlock()
-	j.finish(rw)
-}
-
 // status snapshots the job's wire status.
 func (j *job) status() JobStatus {
 	j.mu.Lock()
@@ -237,7 +243,7 @@ func (j *job) status() JobStatus {
 		Name:        j.name,
 		Engine:      string(j.engine),
 		Cached:      j.cached,
-		Events:      len(j.events),
+		Events:      len(j.lines),
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
 		Error:       j.errMsg,
 		Result:      j.result,
@@ -255,36 +261,4 @@ func (j *job) status() JobStatus {
 		st.Attempts = append([]Attempt(nil), j.attempts...)
 	}
 	return st
-}
-
-// terminal reports whether the job has reached a final state.
-func (j *job) terminal() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// snapshotFrom returns the event lines from index i on, the current
-// change channel, and whether the job is terminal — everything a
-// streaming subscriber needs per wakeup. The returned slice aliases the
-// append-only buffer and is stable.
-func (j *job) snapshotFrom(i int) (lines []json.RawMessage, changed chan struct{}, final bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if i < len(j.events) {
-		lines = j.events[i:len(j.events):len(j.events)]
-	}
-	return lines, j.changed, j.state == StateDone || j.state == StateError
-}
-
-// eventsCopy snapshots the full event buffer (for caching).
-func (j *job) eventsCopy() []json.RawMessage {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]json.RawMessage, len(j.events))
-	copy(out, j.events)
-	return out
 }

@@ -30,10 +30,9 @@ func (s *Server) startScheduler() {
 // cheapest-first, every rung but the last under the slice budget
 // clamped to the owning batch's pool, escalating on budget exhaustion
 // (never on cancellation) until a rung settles the verdict or the
-// ladder runs out. Single-engine submissions are the one-rung case and
-// behave exactly as before. Any panic that escapes the verification
-// harness is converted into a job error rather than taking the daemon
-// down.
+// ladder runs out. Single-engine submissions are the one-rung case. Any
+// panic that escapes the verification harness is converted into a job
+// error rather than taking the daemon down.
 func (s *Server) runJob(_ int, j *job) {
 	s.met.queued.Add(-1)
 	if j.ctx.Err() != nil {
@@ -47,18 +46,15 @@ func (s *Server) runJob(_ int, j *job) {
 			Outcome: verify.Exhausted.String(),
 			Cause:   "canceled",
 			Why:     "canceled before start",
-		})
-		return
-	}
-	if !j.setRunning() {
+		}, "")
 		return
 	}
 	s.met.running.Add(1)
-	defer s.met.running.Add(-1)
+	j.setRunning()
 
 	defer func() {
 		if r := recover(); r != nil {
-			s.failJob(j, fmt.Sprintf("internal error: %v\n%s", r, debug.Stack()))
+			s.finalize(j, nil, fmt.Sprintf("internal error: %v\n%s", r, debug.Stack()))
 		}
 	}()
 
@@ -79,7 +75,7 @@ func (s *Server) runJob(_ int, j *job) {
 				rw := poolExhaustedWire(j, meth, err)
 				s.met.attempts.Add(1)
 				j.recordAttempt(attemptOf(rw, budget, false, false), rung)
-				s.finalize(j, rw)
+				s.finalize(j, rw, "")
 				return
 			}
 			budget = clamped
@@ -100,7 +96,7 @@ func (s *Server) runJob(_ int, j *job) {
 			s.met.escalations.Add(1)
 			continue
 		}
-		s.finalize(j, rw)
+		s.finalize(j, rw, "")
 		return
 	}
 }
@@ -156,13 +152,7 @@ func (s *Server) runAttempt(j *job, meth verify.Method, budget resource.Budget) 
 	if cacheOK {
 		key = cacheKey(j.identity, string(meth), j.opt, budget)
 		if entry := s.lookupResult(key); entry != nil {
-			j.markCached()
-			// Replay the cached run's engine lines through the ordinary
-			// append path, so a batch's multiplexed stream sees them
-			// labeled like live ones.
-			for _, line := range entry.events {
-				j.appendRaw(line)
-			}
+			j.replay(entry.events)
 			return entry.result, true, true
 		}
 	}
@@ -170,7 +160,7 @@ func (s *Server) runAttempt(j *job, meth verify.Method, budget resource.Budget) 
 	m := bdd.NewWithSize(1<<16, 20)
 	p, err := buildProblem(m, &j.req)
 	if err != nil {
-		s.failJob(j, err.Error())
+		s.finalize(j, nil, err.Error())
 		return nil, false, false
 	}
 
@@ -190,7 +180,7 @@ func (s *Server) runAttempt(j *job, meth verify.Method, budget resource.Budget) 
 			return
 		}
 		engineLines = append(engineLines, line)
-		j.appendRaw(line)
+		j.emit(line)
 	}}
 
 	res := verify.RunContext(j.ctx, p, meth, opt)
@@ -227,17 +217,23 @@ func renderTrace(res verify.Result, m *bdd.Manager, p verify.Problem) string {
 	return rendered
 }
 
-// finalize completes a job: metrics keyed on the engine that settled
-// the verdict, then the job's terminal transition, whose final event
-// line is appended before the done channel closes — the ordering the
-// drain guarantee rests on.
-func (s *Server) finalize(j *job, rw *ResultWire) {
-	s.met.completedJob(rw.Method, rw)
-	j.finish(rw)
-}
-
-// failJob completes a job in the error state.
-func (s *Server) failJob(j *job, msg string) {
-	s.met.errors.Add(1)
-	j.fail(msg)
+// finalize makes a job terminal with rw or, when rw is nil, in the
+// error state with msg. The gauges and outcome counters move first, so
+// whoever the terminal transition wakes (a wait-mode client, a stream
+// follower, the onDone hook) reads submitted == queued + running +
+// completed + errors. Only the goroutine finalizing a job moves its
+// state, so the running check cannot go stale.
+func (s *Server) finalize(j *job, rw *ResultWire, msg string) {
+	j.mu.Lock()
+	running := j.state == StateRunning
+	j.mu.Unlock()
+	if running {
+		s.met.running.Add(-1)
+	}
+	if rw != nil {
+		s.met.completedJob(rw.Method, rw)
+	} else {
+		s.met.errors.Add(1)
+	}
+	j.finish(rw, msg)
 }

@@ -27,6 +27,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -118,24 +119,18 @@ type Server struct {
 	baseCtx    context.Context         // parent of every job lifecycle context
 	baseCancel context.CancelCauseFunc // fired when the drain deadline passes
 
-	// submitMu serializes channel sends against the drain's close: a
-	// submission holds the read side while it checks accepting and
-	// enqueues, Shutdown holds the write side while it flips accepting
-	// and closes the channel, so a send on a closed channel is
-	// impossible.
-	submitMu  sync.RWMutex
+	// submitMu makes admission atomic: admit holds it while it checks
+	// accepting and free queue slots and then registers and enqueues,
+	// and Shutdown holds it while it flips accepting and closes the
+	// channel, so a send on a closed channel is impossible.
+	submitMu  sync.Mutex
 	accepting atomic.Bool
 	tasks     chan *job
-	closeOnce sync.Once
 	schedDone chan struct{}
 
 	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string // submission order, for history eviction
-	seq     int
-	batches map[string]*batch
-	border  []string // batch submission order, for history eviction
-	bseq    int
+	jobs    history[*job]
+	batches history[*batch]
 	cache   *resultCache
 	started time.Time
 }
@@ -154,8 +149,8 @@ func New(cfg Config) *Server {
 		baseCancel: cancel,
 		tasks:      make(chan *job, cfg.QueueCap),
 		schedDone:  make(chan struct{}),
-		jobs:       make(map[string]*job),
-		batches:    make(map[string]*batch),
+		jobs:       newHistory[*job]("job", "j%06d"),
+		batches:    newHistory[*batch]("batch", "b%05d"),
 		cache:      newResultCache(cfg.CacheCap),
 		started:    time.Now(),
 	}
@@ -170,12 +165,12 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /jobs/{id}/events", handleEvents(s, &s.jobs))
 	mux.HandleFunc("POST /batches", s.handleBatchSubmit)
 	mux.HandleFunc("GET /batches", s.handleBatchList)
 	mux.HandleFunc("GET /batches/{id}", s.handleBatchStatus)
 	mux.HandleFunc("DELETE /batches/{id}", s.handleBatchCancel)
-	mux.HandleFunc("GET /batches/{id}/events", s.handleBatchEvents)
+	mux.HandleFunc("GET /batches/{id}/events", handleEvents(s, &s.batches))
 	mux.HandleFunc("GET /models", s.handleModels)
 	mux.HandleFunc("GET /cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -197,8 +192,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // drain needed the cancellation deadline.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.submitMu.Lock()
-	s.accepting.Store(false)
-	s.closeOnce.Do(func() { close(s.tasks) })
+	if s.accepting.Swap(false) {
+		close(s.tasks)
+	}
 	s.submitMu.Unlock()
 	select {
 	case <-s.schedDone:
@@ -232,164 +228,255 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit is POST /jobs: validate, canonicalize, route to the
-// owning cluster node (or execute locally), consult the two-tier
-// result cache, then enqueue (async) or enqueue-and-wait (wait mode).
-// The raw body is retained so a routed submission forwards verbatim —
-// the peer re-normalizes the identical bytes and must agree on the
-// routing key.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmission reads a POST body of at most limit bytes into v,
+// rejecting unknown fields, and reports whether the handler goes on; it
+// writes the 503 (draining) or 400 itself. The raw body is returned so
+// a routed submission forwards verbatim: the peer resolves the
+// identical bytes and agrees on the routing key.
+func (s *Server) decodeSubmission(w http.ResponseWriter, r *http.Request, limit int64, v any) ([]byte, bool) {
 	if !s.accepting.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting jobs")
-		return
+		writeError(w, http.StatusServiceUnavailable, "%v", errDraining)
+		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return nil, false
 	}
+	return body, true
+}
+
+// handleSubmit is POST /jobs: resolve, route to the owning cluster node
+// (or execute locally), consult the two-tier result cache, admit, and
+// answer at once (202, or 200 with a cache hit) or, in wait mode, with
+// the final status.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-
-	identity, err := normalizeModel(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Routing happens after validation (a peer never sees a request this
-	// node would have rejected) and is keyed on the canonical model
-	// identity alone, so every engine/budget variant of one model lands
-	// on the same node's caches.
-	if s.routeRemote(w, r, identity, body, "/jobs") {
-		return
-	}
-	if req.Engine == "" {
-		req.Engine = string(verify.XICI)
-	}
-	meth, ok := verify.Resolve(req.Engine)
+	body, ok := s.decodeSubmission(w, r, 1<<20, &req)
 	if !ok {
-		writeError(w, http.StatusBadRequest, "unknown engine %q (registered: %v)", req.Engine, verify.Registered())
 		return
 	}
-	req.Engine = string(meth)
-	opt, err := req.Options.options()
+	j, err := s.resolve(req, &BatchRequest{}, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	budget, err := req.Budget.budget(s.cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	// Routing is keyed on the canonical model identity alone, so every
+	// engine/budget variant of one model lands on the same node's caches.
+	if s.routeRemote(w, r, j.identity, body, "/jobs") {
 		return
 	}
-
-	// The cache key is over the *resolved* forms — canonical engine
-	// name, parsed options, default-filled and clamped budget — so wire
-	// variants that would do identical work share one entry.
-	key := cacheKey(identity, req.Engine, opt, budget)
-	j := newJob(req, []verify.Method{meth}, s.baseCtx)
-	j.identity = identity
-	j.opt = opt
-	j.budget = budget
+	// A hit needs no queue slot: admit registers the job and the
+	// replayed answer finalizes it here.
+	entry := s.lookupResult(cacheKey(j.identity, string(j.ladder[0]), j.opt, j.budget))
+	j.cached = entry != nil
 	if req.Wait {
 		j.reqCtx = r.Context()
 	}
-
-	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("j%06d", s.seq)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.evictHistoryLocked()
-	s.mu.Unlock()
-
-	s.met.submitted.Add(1)
-
-	if entry := s.lookupResult(key); entry != nil {
-		s.met.completedJob(req.Engine, entry.result)
-		j.finishCached(entry.result, entry.events)
-		st := j.status()
-		writeJSON(w, http.StatusOK, SubmitResponse{ID: j.id, Cached: true, Status: &st, Node: s.nodeName()})
+	if err := s.admit(nil, j); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-
-	s.met.queued.Add(1)
-	enqueued := false
-	s.submitMu.RLock()
-	if s.accepting.Load() {
-		select {
-		case s.tasks <- j:
-			enqueued = true
-		default:
-		}
-	}
-	s.submitMu.RUnlock()
-	if !enqueued {
-		// Queue full: the job was never scheduled; take it back.
-		s.met.queued.Add(-1)
-		s.met.submitted.Add(-1)
-		s.mu.Lock()
-		delete(s.jobs, j.id)
-		if n := len(s.order); n > 0 && s.order[n-1] == j.id {
-			s.order = s.order[:n-1]
-		}
-		s.mu.Unlock()
-		j.cancel(fmt.Errorf("icid: queue full"))
-		writeError(w, http.StatusServiceUnavailable, "queue full (%d jobs waiting) or draining", s.cfg.QueueCap)
-		return
-	}
-
-	if !req.Wait {
+	if entry != nil {
+		j.replay(entry.events)
+		s.finalize(j, entry.result, "")
+	} else if !req.Wait {
 		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: j.id, Node: s.nodeName()})
 		return
 	}
-	// Wait mode: the response is the final status. The job's budget is
-	// joined to this request's context, so a disconnect here cancels
-	// the run server-side; waiting on j.done alone is enough.
+	// Wait mode: the job's budget is joined to this request's context, so
+	// a disconnect cancels the run server-side; waiting on done suffices.
 	<-j.done
 	st := j.status()
-	writeJSON(w, http.StatusOK, SubmitResponse{ID: j.id, Status: &st, Node: s.nodeName()})
+	writeJSON(w, http.StatusOK, SubmitResponse{ID: j.id, Cached: entry != nil, Status: &st, Node: s.nodeName()})
 }
 
-// evictHistoryLocked drops the oldest terminal jobs past JobHistory.
-func (s *Server) evictHistoryLocked() {
-	excess := len(s.order) - s.cfg.JobHistory
+// resolve validates one submission into a job ready for admission: a
+// POST /jobs body, or a batch member with d holding the batch's member
+// defaults and policy its resolved ladder. The model is normalized here,
+// exactly once. The ladder is the explicit engine, else the policy, else
+// XICI. Options and budget take d's values in the fields the member
+// leaves at zero, and the slice takes the member budget in the fields
+// d.Slice leaves at zero. Every 400 a submission can earn is decided
+// here, before routing, so a peer never sees a request this node would
+// reject.
+func (s *Server) resolve(req SubmitRequest, d *BatchRequest, policy []verify.Method) (*job, error) {
+	identity, err := normalizeModel(&req)
+	if err != nil {
+		return nil, err
+	}
+	ladder := policy
+	switch {
+	case req.Engine != "":
+		meth, ok := verify.Resolve(req.Engine)
+		if !ok {
+			return nil, fmt.Errorf("unknown engine %q (registered: %v)", req.Engine, verify.Registered())
+		}
+		ladder = []verify.Method{meth}
+	case len(policy) == 0:
+		ladder = []verify.Method{verify.XICI}
+	}
+	opt, err := mergeOptions(req.Options, d.Options).options()
+	if err != nil {
+		return nil, err
+	}
+	spec := mergeBudget(req.Budget, d.Budget)
+	budget, err := spec.budget(s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	slice, err := mergeBudget(d.Slice, spec).budget(s.cfg)
+	if err != nil {
+		return nil, fmt.Errorf("slice: %w", err)
+	}
+	return &job{
+		eventLog: newEventLog(),
+		identity: identity,
+		name:     req.Name,
+		req:      req,
+		opt:      opt,
+		budget:   budget,
+		ladder:   ladder,
+		slice:    slice,
+		state:    StateQueued,
+		engine:   ladder[0],
+	}, nil
+}
+
+var errDraining = errors.New("draining: not accepting jobs")
+
+// admit is the one admission path, for a single submission (b nil) and
+// a batch alike: all of jobs are admitted or none. Under submitMu it
+// checks the drain state and that the queue has a slot for every job
+// still to run (a job already answered from the cache takes none)
+// before anything is registered, counted, or given a lifecycle context.
+// admit is the only sender on s.tasks and the workers only receive, so
+// the slots checked here are still free for the sends below.
+func (s *Server) admit(b *batch, jobs ...*job) error {
+	s.submitMu.Lock()
+	defer s.submitMu.Unlock()
+	if !s.accepting.Load() {
+		return errDraining
+	}
+	queued := 0
+	for _, j := range jobs {
+		if !j.cached {
+			queued++
+		}
+	}
+	if free := cap(s.tasks) - len(s.tasks); free < queued {
+		return fmt.Errorf("queue full: %d free slots, %d needed", free, queued)
+	}
+
+	parent, now := s.baseCtx, time.Now()
+	s.mu.Lock()
+	if b != nil {
+		b.id = s.batches.add(b)
+		b.submitted = now
+		b.ctx, b.cancel = context.WithCancelCause(s.baseCtx)
+		parent = b.ctx
+	}
+	for _, j := range jobs {
+		j.id = s.jobs.add(j)
+		j.submitted, j.batch = now, b
+		j.ctx, j.cancel = context.WithCancelCause(parent)
+		if b != nil {
+			j.onDone = b.memberDone
+		}
+	}
+	s.jobs.evict(s.cfg.JobHistory)
+	s.batches.evict(s.cfg.JobHistory)
+	s.mu.Unlock()
+
+	if b != nil {
+		s.met.batches.Add(1)
+	}
+	s.met.submitted.Add(int64(len(jobs)))
+	s.met.queued.Add(int64(queued))
+	for _, j := range jobs {
+		if !j.cached {
+			s.tasks <- j
+		}
+	}
+	return nil
+}
+
+// logged is a job or a batch: anything with an embedded eventLog.
+type logged interface{ log() *eventLog }
+
+// history retains jobs or batches by id, in admission order. Past its
+// bound the oldest terminal entries are evicted, so the daemon's memory
+// stays bounded under sustained traffic. Callers hold the server mutex.
+type history[T logged] struct {
+	kind, idFormat string
+	byID           map[string]T
+	order          []string
+	seq            int
+}
+
+func newHistory[T logged](kind, idFormat string) history[T] {
+	return history[T]{kind: kind, idFormat: idFormat, byID: make(map[string]T)}
+}
+
+// add retains v under the next id and returns the id.
+func (h *history[T]) add(v T) string {
+	h.seq++
+	id := fmt.Sprintf(h.idFormat, h.seq)
+	h.byID[id] = v
+	h.order = append(h.order, id)
+	return id
+}
+
+// evict drops the oldest terminal entries past limit.
+func (h *history[T]) evict(limit int) {
+	excess := len(h.order) - limit
 	if excess <= 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && j != nil && j.terminal() {
-			delete(s.jobs, id)
+	kept := h.order[:0]
+	for _, id := range h.order {
+		if excess > 0 && h.byID[id].log().terminal() {
+			delete(h.byID, id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
-	s.order = kept
+	h.order = kept
 }
 
-func (s *Server) lookup(id string) *job {
+// list returns the retained entries, id-ordered.
+func (h *history[T]) list() []T {
+	ids := append([]string(nil), h.order...)
+	sort.Strings(ids)
+	out := make([]T, len(ids))
+	for i, id := range ids {
+		out[i] = h.byID[id]
+	}
+	return out
+}
+
+// find returns the entry the request's {id} names, or writes the 404.
+func find[T logged](s *Server, h *history[T], w http.ResponseWriter, r *http.Request) (T, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	v, ok := h.byID[r.PathValue("id")]
+	s.mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, "no such %s %q", h.kind, r.PathValue("id"))
+	}
+	return v, ok
 }
 
 // handleList is GET /jobs: every retained job's status, id-ordered.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
+	jobs := s.jobs.list()
 	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].id < jobs[k].id })
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.status()
@@ -399,62 +486,57 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 
 // handleStatus is GET /jobs/{id}.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
+	if j, ok := find(s, &s.jobs, w, r); ok {
+		writeJSON(w, http.StatusOK, j.status())
 	}
-	writeJSON(w, http.StatusOK, j.status())
 }
 
 // handleCancel is DELETE /jobs/{id}: cancel the job's lifecycle
 // context. A queued job finalizes as canceled when a worker pops it; a
 // running job aborts at its next budget check.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
+	if j, ok := find(s, &s.jobs, w, r); ok {
+		j.cancel(fmt.Errorf("icid: canceled via DELETE /jobs/%s", j.id))
+		writeJSON(w, http.StatusOK, j.status())
 	}
-	j.cancel(fmt.Errorf("icid: canceled via DELETE /jobs/%s", j.id))
-	writeJSON(w, http.StatusOK, j.status())
 }
 
-// handleEvents is GET /jobs/{id}/events: the job's NDJSON event stream.
-// By default it follows the live run until the job's terminal line;
-// ?follow=0 dumps the buffer so far and closes. The final "done" line
-// is appended before the job's done channel closes, so a client that
-// reads to EOF has seen the job's complete history.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	follow := r.URL.Query().Get("follow") != "0"
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	i := 0
-	for {
-		lines, changed, final := j.snapshotFrom(i)
-		for _, line := range lines {
-			w.Write(line)
-			w.Write([]byte("\n"))
-		}
-		i += len(lines)
-		if flusher != nil && len(lines) > 0 {
-			flusher.Flush()
-		}
-		if final || !follow {
+// handleEvents serves GET /jobs/{id}/events and GET /batches/{id}/events:
+// the job's or batch's event log as NDJSON. By default it follows the
+// log until its final line (a job's "done", or a batch's closing tally
+// after every member's lines); ?follow=0 dumps the lines so far and
+// closes. The final line is in before the log is marked final, so a
+// client that reads to EOF has the complete history.
+func handleEvents[T logged](s *Server, h *history[T]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, ok := find(s, h, w, r)
+		if !ok {
 			return
 		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
+		l := v.log()
+		follow := r.URL.Query().Get("follow") != "0"
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Cache-Control", "no-store")
+		w.WriteHeader(http.StatusOK)
+		flusher, _ := w.(http.Flusher)
+		for i := 0; ; {
+			lines, changed, final := l.since(i)
+			for _, line := range lines {
+				w.Write(line)
+				w.Write([]byte("\n"))
+			}
+			i += len(lines)
+			if flusher != nil && len(lines) > 0 {
+				flusher.Flush()
+			}
+			if final || !follow {
+				return
+			}
+			select {
+			case <-changed:
+			case <-r.Context().Done():
+				return
+			}
 		}
 	}
 }
@@ -492,8 +574,8 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 // should route around this node.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	retained := len(s.jobs)
-	retainedBatches := len(s.batches)
+	retained := len(s.jobs.byID)
+	retainedBatches := len(s.batches.byID)
 	cached := s.cache.len()
 	s.mu.Unlock()
 	engines := make([]string, 0)
