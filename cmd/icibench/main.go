@@ -12,7 +12,6 @@
 //	icibench -effort        # append effort counters to each text row
 //	icibench -pprof localhost:6060  # serve net/http/pprof while running
 //	icibench -zoo -quick    # the model-zoo grid: every registry entry at its smallest size
-//	icibench -serve http://localhost:8080 -quick  # drive a remote icid via its batch API
 //
 // The -zoo grid replaces the paper tables with one group per (zoo
 // entry, size) pair — the parameterized families plus every imported
@@ -74,7 +73,6 @@ func main() {
 		effort    = flag.Bool("effort", false, "append effort counters and phase times to each text row")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the grid's duration")
 		zooGrid   = flag.Bool("zoo", false, "run the model-zoo grid (every zoo registry entry, including imported .fsm machines) instead of the paper tables")
-		serve     = flag.String("serve", "", "drive a remote icid at this base URL (e.g. http://localhost:8080) instead of running cells in-process; submits the zoo grid through its batch API")
 	)
 	flag.Parse()
 
@@ -107,10 +105,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *serve != "" {
-		os.Exit(runServe(ctx, os.Stdout, *serve, *quick, methods, *jsonPath))
-	}
 
 	report := &bench.Report{
 		Schema:    bench.ReportSchema,

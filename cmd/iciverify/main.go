@@ -36,8 +36,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -55,36 +57,48 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the selected engines and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iciverify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model     = flag.String("model", "fifo", "zoo model name (fifo, network, filter, pipeline, coherence, link, elevator, traffic, protostack, fsm/..., ...)")
-		params    = flag.String("params", "", "comma-separated name=value zoo parameters (e.g. floors=5,bug=1); these win over the flat size flags")
-		size      = flag.Int("size", 5, "model size (fifo depth, network processors, filter depth, coherence caches, link data bits)")
-		regs      = flag.Int("regs", 2, "pipeline: number of registers")
-		bits      = flag.Int("bits", 1, "pipeline: datapath width")
-		method    = flag.String("method", "XICI", "method: Fwd, FwdID, Bkwd, FD, ICI, XICI, Induction")
-		engines   = flag.String("engines", "", "comma-separated engines to run in sequence (overrides -method); \"list\" prints the registered engines and exits")
-		assist    = flag.Bool("assist", false, "supply user assisting invariants / partition")
-		bug       = flag.Bool("bug", false, "seed the model's bug")
-		trace     = flag.Bool("trace", false, "print a counterexample trace on violation")
-		nodeLimit = flag.Int("nodelimit", 0, "abort when live BDD nodes exceed this (0 = unlimited)")
-		timeout   = flag.Duration("timeout", 0, "abort after this wall time (0 = unlimited)")
-		maxIter   = flag.Int("maxiter", 0, "abort after this many traversal iterations (0 = engine default)")
-		threshold = flag.Float64("threshold", core.DefaultGrowThreshold, "XICI GrowThreshold")
-		compose   = flag.Bool("compose", false, "use functional-composition back images instead of the relational product")
-		termMode  = flag.String("term", "exact", "XICI termination test: exact, implication, fast")
-		dotOut    = flag.String("dot", "", "write the property BDD(s) as Graphviz DOT to this file")
-		file      = flag.String("file", "", "verify a textual model file instead of a built-in model (see internal/lang)")
-		fsmFile   = flag.String("fsm", "", "import and verify an FSM-toolkit .fsm machine file (see internal/fsmtk)")
-		stats     = flag.Bool("stats", false, "print per-phase timings and effort counters after each run")
-		events    = flag.String("events", "", "append an NDJSON event log (iteration/merge/termination events) to this file")
+		model     = fs.String("model", "fifo", "zoo model name (fifo, network, filter, pipeline, coherence, link, elevator, traffic, protostack, fsm/..., ...)")
+		params    = fs.String("params", "", "comma-separated name=value zoo parameters (e.g. floors=5,bug=1); these win over the flat size flags")
+		size      = fs.Int("size", 5, "model size (fifo depth, network processors, filter depth, coherence caches, link data bits)")
+		regs      = fs.Int("regs", 2, "pipeline: number of registers")
+		bits      = fs.Int("bits", 1, "pipeline: datapath width")
+		method    = fs.String("method", "XICI", "method: Fwd, FwdID, Bkwd, FD, ICI, XICI, Induction, PDR")
+		engines   = fs.String("engines", "", "comma-separated engines to run in sequence (overrides -method); \"list\" prints the registered engines and exits")
+		assist    = fs.Bool("assist", false, "supply user assisting invariants / partition")
+		bug       = fs.Bool("bug", false, "seed the model's bug")
+		trace     = fs.Bool("trace", false, "print a counterexample trace on violation")
+		nodeLimit = fs.Int("nodelimit", 0, "abort when live BDD nodes exceed this (0 = unlimited)")
+		timeout   = fs.Duration("timeout", 0, "abort after this wall time (0 = unlimited)")
+		maxIter   = fs.Int("maxiter", 0, "abort after this many traversal iterations (0 = engine default)")
+		threshold = fs.Float64("threshold", core.DefaultGrowThreshold, "XICI GrowThreshold")
+		compose   = fs.Bool("compose", false, "use functional-composition back images instead of the relational product")
+		termMode  = fs.String("term", "exact", "XICI termination test: exact, implication, fast")
+		dotOut    = fs.String("dot", "", "write the property BDD(s) as Graphviz DOT to this file")
+		file      = fs.String("file", "", "verify a textual model file instead of a built-in model (see internal/lang)")
+		fsmFile   = fs.String("fsm", "", "import and verify an FSM-toolkit .fsm machine file (see internal/fsmtk)")
+		stats     = fs.Bool("stats", false, "print per-phase timings and effort counters after each run")
+		events    = fs.String("events", "", "append an NDJSON event log (iteration/merge/termination events) to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *engines == "list" {
 		for _, name := range verify.Registered() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 
 	// Ctrl-C cancels the run cleanly: BDD operations abort on the next
@@ -92,55 +106,57 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	m := bdd.NewWithSize(1<<16, 20)
-	var p verify.Problem
+	var instantiate func(*bdd.Manager) (verify.Problem, error)
 	switch {
 	case *file != "":
 		src, err := os.ReadFile(*file)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
-		p, err = lang.Parse(m, string(src), *file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+		instantiate = func(m *bdd.Manager) (verify.Problem, error) {
+			return lang.Parse(m, string(src), *file)
 		}
 	case *fsmFile != "":
 		src, err := os.ReadFile(*fsmFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
 		mo, err := fsmtk.Import(src)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %s: %v\n", *fsmFile, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %s: %v\n", *fsmFile, err)
+			return 2
 		}
-		p, err = mo.Instantiate(m)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
-		}
+		instantiate = mo.Instantiate
 	default:
 		sz, err := modelSize(*model, *size, *regs, *bits, *assist, *bug, *params)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
 		mo, err := zoo.Build(*model, sz)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
-		p, err = mo.Instantiate(m)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
-		}
+		instantiate = mo.Instantiate
 	}
-	if *compose {
-		p.Machine.PreImageMode = fsm.PreCompose
+	// Every engine runs on its own manager and problem, as icid and
+	// icibench cells do, so no row's peak live nodes, mem= or wall time
+	// includes an earlier engine's nodes or its warm cache.
+	newProblem := func() (*bdd.Manager, verify.Problem, error) {
+		m := bdd.NewWithSize(1<<16, 20)
+		p, err := instantiate(m)
+		if err == nil && *compose {
+			p.Machine.PreImageMode = fsm.PreCompose
+		}
+		return m, p, err
+	}
+	m, p, err := newProblem()
+	if err != nil {
+		fmt.Fprintf(stderr, "iciverify: %v\n", err)
+		return 2
 	}
 
 	var tm verify.TerminationMode
@@ -152,8 +168,8 @@ func main() {
 	case "fast":
 		tm = verify.TermFast
 	default:
-		fmt.Fprintf(os.Stderr, "iciverify: unknown termination mode %q\n", *termMode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "iciverify: unknown termination mode %q\n", *termMode)
+		return 2
 	}
 
 	opt := verify.Options{
@@ -171,8 +187,8 @@ func main() {
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
 		defer f.Close()
 		elog = verify.NewNDJSONObserver(f)
@@ -182,22 +198,22 @@ func main() {
 	if *dotOut != "" {
 		f, err := os.Create(*dotOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
 		goods := p.GoodList
 		if goods == nil {
 			goods = []bdd.Ref{p.Good}
 		}
 		if err := m.WriteDOT(f, goods...); err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "iciverify: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: %v\n", err)
+			return 2
 		}
-		fmt.Printf("wrote property BDDs to %s\n", *dotOut)
+		fmt.Fprintf(stdout, "wrote property BDDs to %s\n", *dotOut)
 	}
 
 	// The run list: -engines selects several, -method one; both resolve
@@ -212,29 +228,35 @@ func main() {
 	for _, name := range names {
 		meth, ok := verify.Resolve(strings.TrimSpace(name))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "iciverify: unknown method %q (try -engines list)\n", strings.TrimSpace(name))
-			os.Exit(2)
+			fmt.Fprintf(stderr, "iciverify: unknown method %q (try -engines list)\n", strings.TrimSpace(name))
+			return 2
 		}
 		methods = append(methods, meth)
 	}
 
-	fmt.Printf("model %s  (%d state bits, %d input bits)\n",
+	fmt.Fprintf(stdout, "model %s  (%d state bits, %d input bits)\n",
 		p.Name, p.Machine.StateBits(), p.Machine.InputBits())
 
 	exit := 0
-	for _, meth := range methods {
+	for i, meth := range methods {
+		if i > 0 {
+			if m, p, err = newProblem(); err != nil {
+				fmt.Fprintf(stderr, "iciverify: %v\n", err)
+				return 2
+			}
+		}
 		if elog != nil {
 			elog.SetMethod(string(meth))
 		}
 		start := time.Now()
 		res := verify.RunContext(ctx, p, meth, opt)
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		if cause := res.Cause(); cause != "" {
-			fmt.Printf("cause: %s\n", cause)
+			fmt.Fprintf(stdout, "cause: %s\n", cause)
 		}
-		fmt.Printf("wall %v, peak live nodes %d\n", time.Since(start).Round(time.Millisecond), m.PeakNodes())
+		fmt.Fprintf(stdout, "wall %v, peak live nodes %d\n", time.Since(start).Round(time.Millisecond), m.PeakNodes())
 		if *stats {
-			printStats(res)
+			printStats(stdout, res)
 		}
 
 		if res.Trace != nil {
@@ -243,16 +265,16 @@ func main() {
 				goods = []bdd.Ref{p.Good}
 			}
 			if err := res.Trace.Validate(p.Machine, goods); err != nil {
-				fmt.Fprintf(os.Stderr, "trace validation FAILED: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "trace validation FAILED: %v\n", err)
+				return 1
 			}
-			fmt.Println("counterexample (validated by replay):")
+			fmt.Fprintln(stdout, "counterexample (validated by replay):")
 			rendered, err := res.Trace.Format(m, p.Machine.CurVars())
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "trace formatting FAILED: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "trace formatting FAILED: %v\n", err)
+				return 1
 			}
-			fmt.Print(rendered)
+			fmt.Fprint(stdout, rendered)
 		}
 		switch res.Outcome {
 		case verify.Violated:
@@ -263,7 +285,7 @@ func main() {
 			}
 		}
 	}
-	os.Exit(exit)
+	return exit
 }
 
 // legacySizeKey maps the flat -size flag onto the zoo parameter it has

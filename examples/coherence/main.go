@@ -22,7 +22,7 @@ import (
 func main() {
 	const caches = 4
 
-	p := models.NewCoherence(bdd.New(), models.CoherenceConfig{Caches: caches})
+	p := models.BuildCoherence(models.CoherenceConfig{Caches: caches}).MustInstantiate(bdd.New())
 	fmt.Printf("model: %s, %d state bits\n\n", p.Name, p.Machine.StateBits())
 
 	for _, method := range []verify.Method{verify.Forward, verify.FD, verify.XICI} {
@@ -34,7 +34,7 @@ func main() {
 	}
 
 	// The classic coherence bug: upgrade without invalidation.
-	bp := models.NewCoherence(bdd.New(), models.CoherenceConfig{Caches: caches, Bug: true})
+	bp := models.BuildCoherence(models.CoherenceConfig{Caches: caches, Bug: true}).MustInstantiate(bdd.New())
 	res := verify.Run(bp, verify.XICI, verify.Options{WantTrace: true})
 	fmt.Printf("\nupgrade-without-invalidate bug -> %s\n", res)
 	if res.Trace == nil {

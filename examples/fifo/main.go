@@ -27,7 +27,7 @@ func main() {
 	const depth = 6
 
 	m := bdd.New()
-	p := models.NewFIFO(m, models.DefaultFIFO(depth))
+	p := models.BuildFIFO(models.DefaultFIFO(depth)).MustInstantiate(m)
 
 	fmt.Printf("model: %s, %d state bits, %d input bits\n\n",
 		p.Name, p.Machine.StateBits(), p.Machine.InputBits())
@@ -47,7 +47,7 @@ func main() {
 	// Seed the bug: the writer stops respecting the type constraint.
 	cfg := models.DefaultFIFO(3)
 	cfg.Bug = true
-	bp := models.NewFIFO(bdd.New(), cfg)
+	bp := models.BuildFIFO(cfg).MustInstantiate(bdd.New())
 	res := verify.Run(bp, verify.XICI, verify.Options{WantTrace: true})
 	fmt.Printf("\nseeded bug -> %s\n", res)
 	if res.Trace == nil {

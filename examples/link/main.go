@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	p := models.NewLink(bdd.New(), models.LinkConfig{DataBits: 4})
+	p := models.BuildLink(models.LinkConfig{DataBits: 4}).MustInstantiate(bdd.New())
 	fmt.Printf("model: %s, %d state bits\n\n", p.Name, p.Machine.StateBits())
 
 	for _, method := range []verify.Method{verify.Forward, verify.ForwardID, verify.XICI} {
@@ -32,7 +32,7 @@ func main() {
 	}
 
 	// Break the sequence check.
-	bp := models.NewLink(bdd.New(), models.LinkConfig{DataBits: 4, Bug: true})
+	bp := models.BuildLink(models.LinkConfig{DataBits: 4, Bug: true}).MustInstantiate(bdd.New())
 	res := verify.Run(bp, verify.XICI, verify.Options{WantTrace: true})
 	fmt.Printf("\nno-sequence-check bug -> %s\n", res)
 	if res.Trace == nil {

@@ -28,7 +28,7 @@ func main() {
 
 	fmt.Printf("processors: %d (network of %d unordered slots)\n\n", procs, procs)
 	for _, method := range []verify.Method{verify.Forward, verify.FD, verify.XICI} {
-		p := models.NewNetwork(bdd.New(), models.NetworkConfig{Procs: procs})
+		p := models.BuildNetwork(models.NetworkConfig{Procs: procs}).MustInstantiate(bdd.New())
 		res := verify.Run(p, method, verify.Options{})
 		fmt.Printf("%-4s -> %s\n", method, res)
 		if res.Outcome != verify.Verified {
@@ -43,7 +43,7 @@ image of each per-processor conjunct is implied by the list itself.`)
 
 	// The classic protocol bug: a processor consumes an acknowledgment
 	// addressed to someone else.
-	bp := models.NewNetwork(bdd.New(), models.NetworkConfig{Procs: 2, Bug: true})
+	bp := models.BuildNetwork(models.NetworkConfig{Procs: 2, Bug: true}).MustInstantiate(bdd.New())
 	res := verify.Run(bp, verify.XICI, verify.Options{WantTrace: true})
 	fmt.Printf("misrouted-ack bug -> %s\n", res)
 	if res.Trace == nil {

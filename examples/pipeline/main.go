@@ -22,7 +22,7 @@ import (
 
 func main() {
 	cfg := models.DefaultPipeline(2, 2)
-	p := models.NewPipeline(bdd.New(), cfg)
+	p := models.BuildPipeline(cfg).MustInstantiate(bdd.New())
 	fmt.Printf("model: %s, %d state bits, %d input bits\n",
 		p.Name, p.Machine.StateBits(), p.Machine.InputBits())
 
@@ -36,7 +36,7 @@ func main() {
 	// reads the stale r1 in the pipeline but the fresh r1 in the spec.
 	bug := cfg
 	bug.Bug = true
-	bp := models.NewPipeline(bdd.New(), bug)
+	bp := models.BuildPipeline(bug).MustInstantiate(bdd.New())
 	bres := verify.Run(bp, verify.XICI, verify.Options{WantTrace: true})
 	fmt.Println("no-bypass bug ->", bres)
 	if bres.Trace == nil {

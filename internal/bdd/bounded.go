@@ -24,11 +24,6 @@ func (m *Manager) AndBounded(f, g Ref, budget int) (res Ref, ok bool) {
 	return m.bounded(budget, func() Ref { return m.And(f, g) })
 }
 
-// ITEBounded is the bounded variant of ITE.
-func (m *Manager) ITEBounded(f, g, h Ref, budget int) (res Ref, ok bool) {
-	return m.bounded(budget, func() Ref { return m.ITE(f, g, h) })
-}
-
 func (m *Manager) bounded(budget int, op func() Ref) (res Ref, ok bool) {
 	if budget <= 0 {
 		return op(), true

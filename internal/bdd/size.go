@@ -82,11 +82,6 @@ func (m *Manager) Support(f Ref) []Var {
 	return vs
 }
 
-// SupportCube returns the positive cube of f's support variables.
-func (m *Manager) SupportCube(f Ref) Ref {
-	return m.MkCube(m.Support(f))
-}
-
 // SatCount returns the number of satisfying assignments of f over all
 // variables declared in the Manager.
 func (m *Manager) SatCount(f Ref) *big.Int {

@@ -66,10 +66,6 @@ func TestSupport(t *testing.T) {
 	if len(m.Support(One)) != 0 {
 		t.Fatal("Support of constant not empty")
 	}
-	cube := m.SupportCube(f)
-	if vs := m.CubeVars(cube); len(vs) != 3 {
-		t.Fatalf("SupportCube vars = %v", vs)
-	}
 }
 
 func TestSatCountMatchesPopcount(t *testing.T) {

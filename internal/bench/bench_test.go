@@ -66,7 +66,7 @@ func TestRunCellBudgets(t *testing.T) {
 		Group:  "test",
 		Method: verify.XICI,
 		Build: func(m *bdd.Manager) verify.Problem {
-			return models.NewFIFO(m, models.DefaultFIFO(3))
+			return models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
 		},
 	}
 	cr := RunCell(context.Background(), cell, Budget{NodeLimit: 500_000, Timeout: 30 * time.Second})
@@ -91,7 +91,7 @@ func TestRunCellUnlimitedSentinel(t *testing.T) {
 		Group:  "test",
 		Method: verify.XICI,
 		Build: func(m *bdd.Manager) verify.Problem {
-			return models.NewFIFO(m, models.DefaultFIFO(3))
+			return models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
 		},
 	}
 	// Control: under a hopeless grid node limit the cell exhausts.
@@ -119,7 +119,7 @@ func TestCellReportStatsBlock(t *testing.T) {
 		Group:  "test",
 		Method: verify.XICI,
 		Build: func(m *bdd.Manager) verify.Problem {
-			return models.NewFIFO(m, models.DefaultFIFO(3))
+			return models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
 		},
 	}
 	cr := RunCell(context.Background(), cell, Budget{NodeLimit: 500_000, Timeout: 30 * time.Second})

@@ -21,7 +21,7 @@ func smallTable() Table {
 			Group:  group,
 			Method: meth,
 			Build: func(m *bdd.Manager) verify.Problem {
-				return models.NewFIFO(m, models.DefaultFIFO(depth))
+				return models.BuildFIFO(models.DefaultFIFO(depth)).MustInstantiate(m)
 			},
 		}
 	}
@@ -174,7 +174,7 @@ func TestNewCellReportViolation(t *testing.T) {
 		Build: func(m *bdd.Manager) verify.Problem {
 			cfg := models.DefaultFIFO(3)
 			cfg.Bug = true
-			return models.NewFIFO(m, cfg)
+			return models.BuildFIFO(cfg).MustInstantiate(m)
 		},
 	}
 	cr := RunCell(context.Background(), cell, Budget{NodeLimit: 500_000, Timeout: 30 * time.Second})

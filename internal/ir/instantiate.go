@@ -141,8 +141,7 @@ func (mo *Model) instantiate(m *bdd.Manager, useIso bool) (verify.Problem, error
 	}, nil
 }
 
-// MustInstantiate is Instantiate for callers that treat failure as a
-// bug — the legacy New* constructor shims.
+// MustInstantiate is Instantiate for callers that treat failure as a bug.
 func (mo *Model) MustInstantiate(m *bdd.Manager) verify.Problem {
 	p, err := mo.Instantiate(m)
 	if err != nil {

@@ -117,20 +117,6 @@ func EqW(a, b Word) *Node {
 	return acc
 }
 
-// EqListW returns the per-bit equality predicates of a and b — the
-// natural implicit-conjunction partition of a word equality.
-func EqListW(a, b Word) []*Node {
-	a.sameWidth(b, "EqListW")
-	out := make([]*Node, a.Width())
-	for i := range a {
-		out[i] = Xnor(a[i], b[i])
-	}
-	return out
-}
-
-// NeW returns the predicate a != b.
-func NeW(a, b Word) *Node { return Not(EqW(a, b)) }
-
 // EqConstW returns the predicate a == value.
 func EqConstW(a Word, value uint64) *Node {
 	return EqW(a, ConstWord(value, a.Width()))
@@ -171,19 +157,6 @@ func ShrW(a Word, k int) Word {
 	for i := range out {
 		if i+k < a.Width() {
 			out[i] = a[i+k]
-		} else {
-			out[i] = nFalse
-		}
-	}
-	return out
-}
-
-// ShlW returns a shifted left by k bits (zero fill), modulo 2^width.
-func ShlW(a Word, k int) Word {
-	out := make(Word, a.Width())
-	for i := range out {
-		if i-k >= 0 {
-			out[i] = a[i-k]
 		} else {
 			out[i] = nFalse
 		}

@@ -3,9 +3,7 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/bdd"
 	"repro/internal/ir"
-	"repro/internal/verify"
 )
 
 // CoherenceConfig parameterizes a small directory-based MSI cache
@@ -173,10 +171,4 @@ func upgradeHappens(isUpgrade *ir.Node, chosen ir.Word, st func(int) ir.Word, n 
 		fires = ir.Or(fires, ir.And(selP, notOwner))
 	}
 	return ir.And(isUpgrade, fires)
-}
-
-// NewCoherence builds the MSI protocol problem on the given manager — a
-// thin shim over BuildCoherence + ir.Instantiate.
-func NewCoherence(m *bdd.Manager, cfg CoherenceConfig) verify.Problem {
-	return BuildCoherence(cfg).MustInstantiate(m)
 }

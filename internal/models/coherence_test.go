@@ -9,7 +9,7 @@ import (
 
 func TestCoherenceVerifies(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
-		p := NewCoherence(bdd.New(), CoherenceConfig{Caches: n})
+		p := BuildCoherence(CoherenceConfig{Caches: n}).MustInstantiate(bdd.New())
 		runAll(t, p, fourMethods, verify.Verified)
 		// And the FD engine via the directory dependency.
 		res := verify.Run(p, verify.FD, verify.Options{})
@@ -20,7 +20,7 @@ func TestCoherenceVerifies(t *testing.T) {
 }
 
 func TestCoherenceBugCaught(t *testing.T) {
-	p := NewCoherence(bdd.New(), CoherenceConfig{Caches: 3, Bug: true})
+	p := BuildCoherence(CoherenceConfig{Caches: 3, Bug: true}).MustInstantiate(bdd.New())
 	for _, method := range fourMethods {
 		res := verify.Run(p, method, verify.Options{WantTrace: true})
 		if res.Outcome != verify.Violated {
@@ -41,7 +41,7 @@ func TestCoherenceBugCaught(t *testing.T) {
 // simulation: read sharing, ownership transfer, invalidation on upgrade.
 func TestCoherenceProtocolSemantics(t *testing.T) {
 	m := bdd.New()
-	p := NewCoherence(m, CoherenceConfig{Caches: 2})
+	p := BuildCoherence(CoherenceConfig{Caches: 2}).MustInstantiate(m)
 	ma := p.Machine
 
 	state := m.SatAssignment(ma.Init())
@@ -49,7 +49,7 @@ func TestCoherenceProtocolSemantics(t *testing.T) {
 		t.Helper()
 		in := append([]bool(nil), state...)
 		// act bits are the first two declared variables; csel the next
-		// three (declaration order in NewCoherence).
+		// three (declaration order in BuildCoherence).
 		iv := ma.InputVars()
 		in[iv[0]] = action&1 != 0
 		in[iv[1]] = action&2 != 0
@@ -107,7 +107,7 @@ func TestCoherenceConfigValidation(t *testing.T) {
 					t.Fatalf("Caches=%d did not panic", n)
 				}
 			}()
-			NewCoherence(bdd.New(), CoherenceConfig{Caches: n})
+			BuildCoherence(CoherenceConfig{Caches: n}).MustInstantiate(bdd.New())
 		}()
 	}
 }

@@ -36,13 +36,13 @@ func crosscheckCases() []crosscheckCase {
 		cfg := cfg
 		add(fmt.Sprintf("fifo/w%d-d%d-bug%t-sm%t", cfg.Width, cfg.Depth, cfg.Bug, cfg.SlotMajor),
 			func(m *bdd.Manager) verify.Problem { return legacyFIFO(m, cfg) },
-			func(m *bdd.Manager) verify.Problem { return NewFIFO(m, cfg) })
+			func(m *bdd.Manager) verify.Problem { return BuildFIFO(cfg).MustInstantiate(m) })
 	}
 	for _, cfg := range []NetworkConfig{{Procs: 2}, {Procs: 3, Bug: true}} {
 		cfg := cfg
 		add(fmt.Sprintf("network/n%d-bug%t", cfg.Procs, cfg.Bug),
 			func(m *bdd.Manager) verify.Problem { return legacyNetwork(m, cfg) },
-			func(m *bdd.Manager) verify.Problem { return NewNetwork(m, cfg) })
+			func(m *bdd.Manager) verify.Problem { return BuildNetwork(cfg).MustInstantiate(m) })
 	}
 	for _, cfg := range []FilterConfig{
 		{Depth: 4, SampleWidth: 3},
@@ -52,7 +52,7 @@ func crosscheckCases() []crosscheckCase {
 		cfg := cfg
 		add(fmt.Sprintf("filter/d%d-w%d-assist%t-bug%t", cfg.Depth, cfg.SampleWidth, cfg.Assist, cfg.Bug),
 			func(m *bdd.Manager) verify.Problem { return legacyFilter(m, cfg) },
-			func(m *bdd.Manager) verify.Problem { return NewFilter(m, cfg) })
+			func(m *bdd.Manager) verify.Problem { return BuildFilter(cfg).MustInstantiate(m) })
 	}
 	for _, cfg := range []PipelineConfig{
 		{Regs: 2, Width: 2},
@@ -63,19 +63,19 @@ func crosscheckCases() []crosscheckCase {
 		cfg := cfg
 		add(fmt.Sprintf("pipeline/r%d-b%d-assist%t-bug%t-sep%t", cfg.Regs, cfg.Width, cfg.Assist, cfg.Bug, cfg.SeparateRegFiles),
 			func(m *bdd.Manager) verify.Problem { return legacyPipeline(m, cfg) },
-			func(m *bdd.Manager) verify.Problem { return NewPipeline(m, cfg) })
+			func(m *bdd.Manager) verify.Problem { return BuildPipeline(cfg).MustInstantiate(m) })
 	}
 	for _, cfg := range []CoherenceConfig{{Caches: 2}, {Caches: 3, Bug: true}} {
 		cfg := cfg
 		add(fmt.Sprintf("coherence/n%d-bug%t", cfg.Caches, cfg.Bug),
 			func(m *bdd.Manager) verify.Problem { return legacyCoherence(m, cfg) },
-			func(m *bdd.Manager) verify.Problem { return NewCoherence(m, cfg) })
+			func(m *bdd.Manager) verify.Problem { return BuildCoherence(cfg).MustInstantiate(m) })
 	}
 	for _, cfg := range []LinkConfig{{DataBits: 2}, {DataBits: 1, Bug: true}} {
 		cfg := cfg
 		add(fmt.Sprintf("link/w%d-bug%t", cfg.DataBits, cfg.Bug),
 			func(m *bdd.Manager) verify.Problem { return legacyLink(m, cfg) },
-			func(m *bdd.Manager) verify.Problem { return NewLink(m, cfg) })
+			func(m *bdd.Manager) verify.Problem { return BuildLink(cfg).MustInstantiate(m) })
 	}
 	return cases
 }

@@ -9,9 +9,10 @@
 //     stall verified against a non-pipelined specification (Table 3,
 //     Figure 3).
 //
-// Each constructor takes a fresh *bdd.Manager, declares variables in a
-// deliberately interleaved order (the standard datapath ordering
-// heuristic the paper cites, ref [19]), and returns a verify.Problem.
-// Every model has an optional seeded bug so counterexample generation can
-// be exercised end to end.
+// Each Build* function returns a manager-independent *ir.Model whose
+// variables are declared in a deliberately interleaved order (the
+// standard datapath ordering heuristic the paper cites, ref [19]);
+// instantiate it on a *bdd.Manager with Instantiate or MustInstantiate to
+// get a verify.Problem. Every model has an optional seeded bug so
+// counterexample generation can be exercised end to end.
 package models

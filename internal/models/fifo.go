@@ -3,9 +3,7 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/bdd"
 	"repro/internal/ir"
-	"repro/internal/verify"
 )
 
 // FIFOConfig parameterizes the typed FIFO queue of Section IV.A: a
@@ -92,10 +90,4 @@ func BuildFIFO(cfg FIFOConfig) *ir.Model {
 		b.Good(ir.LeConstW(ir.FromNodes(slots[d]), cfg.Bound))
 	}
 	return b.Build()
-}
-
-// NewFIFO builds the typed FIFO problem on the given manager — a thin
-// shim over BuildFIFO + ir.Instantiate.
-func NewFIFO(m *bdd.Manager, cfg FIFOConfig) verify.Problem {
-	return BuildFIFO(cfg).MustInstantiate(m)
 }

@@ -3,9 +3,7 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/bdd"
 	"repro/internal/ir"
-	"repro/internal/verify"
 )
 
 // LinkConfig parameterizes an alternating-bit link protocol — the
@@ -139,10 +137,4 @@ func BuildLink(cfg LinkConfig) *ir.Model {
 	b.Good(ir.Imp(fFull, ir.Or(ir.Xnor(fSeq, seqS), ir.Xor(seqR, fSeq))))
 
 	return b.Build()
-}
-
-// NewLink builds the alternating-bit protocol problem on the given
-// manager — a thin shim over BuildLink + ir.Instantiate.
-func NewLink(m *bdd.Manager, cfg LinkConfig) verify.Problem {
-	return BuildLink(cfg).MustInstantiate(m)
 }

@@ -9,13 +9,13 @@ import (
 
 func TestLinkVerifies(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
-		p := NewLink(bdd.New(), LinkConfig{DataBits: w})
+		p := BuildLink(LinkConfig{DataBits: w}).MustInstantiate(bdd.New())
 		runAll(t, p, fourMethods, verify.Verified)
 	}
 }
 
 func TestLinkBugCaught(t *testing.T) {
-	p := NewLink(bdd.New(), LinkConfig{DataBits: 2, Bug: true})
+	p := BuildLink(LinkConfig{DataBits: 2, Bug: true}).MustInstantiate(bdd.New())
 	for _, method := range fourMethods {
 		res := verify.Run(p, method, verify.Options{WantTrace: true})
 		if res.Outcome != verify.Violated {
@@ -36,7 +36,7 @@ func TestLinkBugCaught(t *testing.T) {
 // frame scenario concretely.
 func TestLinkSimulation(t *testing.T) {
 	m := bdd.New()
-	p := NewLink(m, LinkConfig{DataBits: 2})
+	p := BuildLink(LinkConfig{DataBits: 2}).MustInstantiate(m)
 	ma := p.Machine
 
 	iv := ma.InputVars()
@@ -107,7 +107,7 @@ func TestLinkConfigValidation(t *testing.T) {
 					t.Fatalf("DataBits=%d did not panic", w)
 				}
 			}()
-			NewLink(bdd.New(), LinkConfig{DataBits: w})
+			BuildLink(LinkConfig{DataBits: w}).MustInstantiate(bdd.New())
 		}()
 	}
 }

@@ -3,9 +3,7 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/bdd"
 	"repro/internal/ir"
-	"repro/internal/verify"
 )
 
 // FilterConfig parameterizes the moving-average filter of Section IV
@@ -151,12 +149,6 @@ func BuildFilter(cfg FilterConfig) *ir.Model {
 		}
 	}
 	return b.Build()
-}
-
-// NewFilter builds the moving-average filter problem on the given
-// manager — a thin shim over BuildFilter + ir.Instantiate.
-func NewFilter(m *bdd.Manager, cfg FilterConfig) verify.Problem {
-	return BuildFilter(cfg).MustInstantiate(m)
 }
 
 // makeBitGrid allocates the slot structure for count words of the given

@@ -26,7 +26,7 @@ var fourMethods = []verify.Method{verify.Forward, verify.Backward, verify.ICI, v
 
 func TestFIFOVerifies(t *testing.T) {
 	for _, depth := range []int{1, 2, 5} {
-		p := NewFIFO(bdd.New(), DefaultFIFO(depth))
+		p := BuildFIFO(DefaultFIFO(depth)).MustInstantiate(bdd.New())
 		runAll(t, p, fourMethods, verify.Verified)
 	}
 }
@@ -34,7 +34,7 @@ func TestFIFOVerifies(t *testing.T) {
 func TestFIFOBugCaught(t *testing.T) {
 	cfg := DefaultFIFO(3)
 	cfg.Bug = true
-	p := NewFIFO(bdd.New(), cfg)
+	p := BuildFIFO(cfg).MustInstantiate(bdd.New())
 	for _, method := range fourMethods {
 		res := verify.Run(p, method, verify.Options{WantTrace: true})
 		if res.Outcome != verify.Violated {
@@ -57,7 +57,7 @@ func TestFIFOConjunctShape(t *testing.T) {
 	// The paper reports per-slot conjuncts of ~9 nodes each for the
 	// 8-bit, bound-128 FIFO, with XICI/ICI holding the list at exactly
 	// depth-many conjuncts.
-	p := NewFIFO(bdd.New(), DefaultFIFO(5))
+	p := BuildFIFO(DefaultFIFO(5)).MustInstantiate(bdd.New())
 	res := verify.Run(p, verify.XICI, verify.Options{})
 	if res.Outcome != verify.Verified {
 		t.Fatalf("outcome %v", res.Outcome)
@@ -81,7 +81,7 @@ func TestFIFOMonolithicBlowupShape(t *testing.T) {
 	// The monolithic property must be dramatically larger than the
 	// implicit list (the paper's 32767-node G_i at depth 10): check the
 	// relative shape at a modest depth.
-	p := NewFIFO(bdd.New(), DefaultFIFO(8))
+	p := BuildFIFO(DefaultFIFO(8)).MustInstantiate(bdd.New())
 	bk := verify.Run(p, verify.Backward, verify.Options{})
 	xi := verify.Run(p, verify.XICI, verify.Options{})
 	if bk.Outcome != verify.Verified || xi.Outcome != verify.Verified {
@@ -95,7 +95,7 @@ func TestFIFOMonolithicBlowupShape(t *testing.T) {
 
 func TestNetworkVerifies(t *testing.T) {
 	for _, n := range []int{1, 2, 3} {
-		p := NewNetwork(bdd.New(), NetworkConfig{Procs: n})
+		p := BuildNetwork(NetworkConfig{Procs: n}).MustInstantiate(bdd.New())
 		runAll(t, p, fourMethods, verify.Verified)
 		// FD with the counter dependencies.
 		res := verify.Run(p, verify.FD, verify.Options{})
@@ -106,7 +106,7 @@ func TestNetworkVerifies(t *testing.T) {
 }
 
 func TestNetworkBugCaught(t *testing.T) {
-	p := NewNetwork(bdd.New(), NetworkConfig{Procs: 2, Bug: true})
+	p := BuildNetwork(NetworkConfig{Procs: 2, Bug: true}).MustInstantiate(bdd.New())
 	for _, method := range fourMethods {
 		res := verify.Run(p, method, verify.Options{WantTrace: true})
 		if res.Outcome != verify.Violated {
@@ -123,7 +123,7 @@ func TestNetworkBugCaught(t *testing.T) {
 }
 
 func TestNetworkFDShrinksIterates(t *testing.T) {
-	p := NewNetwork(bdd.New(), NetworkConfig{Procs: 3})
+	p := BuildNetwork(NetworkConfig{Procs: 3}).MustInstantiate(bdd.New())
 	fd := verify.Run(p, verify.FD, verify.Options{})
 	fwd := verify.Run(p, verify.Forward, verify.Options{})
 	if fd.Outcome != verify.Verified || fwd.Outcome != verify.Verified {
@@ -141,18 +141,18 @@ func TestFilterVerifiesSmall(t *testing.T) {
 	// cross-check.
 	for _, depth := range []int{2, 4} {
 		cfg := FilterConfig{Depth: depth, SampleWidth: 3}
-		p := NewFilter(bdd.New(), cfg)
+		p := BuildFilter(cfg).MustInstantiate(bdd.New())
 		runAll(t, p, fourMethods, verify.Verified)
 
 		cfg.Assist = true
-		pa := NewFilter(bdd.New(), cfg)
+		pa := BuildFilter(cfg).MustInstantiate(bdd.New())
 		runAll(t, pa, []verify.Method{verify.ICI, verify.XICI}, verify.Verified)
 	}
 }
 
 func TestFilterBugCaught(t *testing.T) {
 	cfg := FilterConfig{Depth: 4, SampleWidth: 3, Bug: true}
-	p := NewFilter(bdd.New(), cfg)
+	p := BuildFilter(cfg).MustInstantiate(bdd.New())
 	for _, method := range fourMethods {
 		res := verify.Run(p, method, verify.Options{WantTrace: true})
 		if res.Outcome != verify.Violated {
@@ -169,7 +169,7 @@ func TestFilterXICIDerivesLayerInvariants(t *testing.T) {
 	// verifies, holding one conjunct per adder-tree layer — the derived
 	// assisting invariants.
 	cfg := FilterConfig{Depth: 4, SampleWidth: 4}
-	p := NewFilter(bdd.New(), cfg)
+	p := BuildFilter(cfg).MustInstantiate(bdd.New())
 	res := verify.Run(p, verify.XICI, verify.Options{})
 	if res.Outcome != verify.Verified {
 		t.Fatalf("outcome %v (%s)", res.Outcome, res.Why)
@@ -181,7 +181,7 @@ func TestFilterXICIDerivesLayerInvariants(t *testing.T) {
 	// With the user-supplied invariants the conjunct count matches the
 	// layer count and the peak is no larger.
 	cfg.Assist = true
-	pa := NewFilter(bdd.New(), cfg)
+	pa := BuildFilter(cfg).MustInstantiate(bdd.New())
 	ra := verify.Run(pa, verify.XICI, verify.Options{})
 	if ra.Outcome != verify.Verified {
 		t.Fatalf("assisted outcome %v", ra.Outcome)
@@ -197,13 +197,13 @@ func TestPipelineVerifies(t *testing.T) {
 		{Regs: 2, Width: 2},
 		{Regs: 4, Width: 1},
 	} {
-		p := NewPipeline(bdd.New(), cfg)
+		p := BuildPipeline(cfg).MustInstantiate(bdd.New())
 		runAll(t, p, fourMethods, verify.Verified)
 	}
 }
 
 func TestPipelineBypassBugCaught(t *testing.T) {
-	p := NewPipeline(bdd.New(), PipelineConfig{Regs: 2, Width: 1, Bug: true})
+	p := BuildPipeline(PipelineConfig{Regs: 2, Width: 1, Bug: true}).MustInstantiate(bdd.New())
 	for _, method := range fourMethods {
 		res := verify.Run(p, method, verify.Options{WantTrace: true})
 		if res.Outcome != verify.Violated {
@@ -222,7 +222,7 @@ func TestPipelineBypassBugCaught(t *testing.T) {
 
 func TestPipelineAssistPartition(t *testing.T) {
 	cfg := PipelineConfig{Regs: 2, Width: 2, Assist: true}
-	p := NewPipeline(bdd.New(), cfg)
+	p := BuildPipeline(cfg).MustInstantiate(bdd.New())
 	if len(p.GoodList) != 2 {
 		t.Fatalf("assist partition has %d conjuncts, want 2", len(p.GoodList))
 	}
@@ -234,13 +234,13 @@ func TestPipelineAssistPartition(t *testing.T) {
 
 func TestModelConfigValidation(t *testing.T) {
 	for name, f := range map[string]func(){
-		"fifo-zero-depth":    func() { NewFIFO(bdd.New(), FIFOConfig{Width: 8}) },
-		"network-zero":       func() { NewNetwork(bdd.New(), NetworkConfig{}) },
-		"network-too-big":    func() { NewNetwork(bdd.New(), NetworkConfig{Procs: 16}) },
-		"filter-not-pow2":    func() { NewFilter(bdd.New(), FilterConfig{Depth: 3, SampleWidth: 4}) },
-		"filter-zero-width":  func() { NewFilter(bdd.New(), FilterConfig{Depth: 4}) },
-		"pipeline-not-pow2":  func() { NewPipeline(bdd.New(), PipelineConfig{Regs: 3, Width: 1}) },
-		"pipeline-zero-bits": func() { NewPipeline(bdd.New(), PipelineConfig{Regs: 2}) },
+		"fifo-zero-depth":    func() { BuildFIFO(FIFOConfig{Width: 8}).MustInstantiate(bdd.New()) },
+		"network-zero":       func() { BuildNetwork(NetworkConfig{}).MustInstantiate(bdd.New()) },
+		"network-too-big":    func() { BuildNetwork(NetworkConfig{Procs: 16}).MustInstantiate(bdd.New()) },
+		"filter-not-pow2":    func() { BuildFilter(FilterConfig{Depth: 3, SampleWidth: 4}).MustInstantiate(bdd.New()) },
+		"filter-zero-width":  func() { BuildFilter(FilterConfig{Depth: 4}).MustInstantiate(bdd.New()) },
+		"pipeline-not-pow2":  func() { BuildPipeline(PipelineConfig{Regs: 3, Width: 1}).MustInstantiate(bdd.New()) },
+		"pipeline-zero-bits": func() { BuildPipeline(PipelineConfig{Regs: 2}).MustInstantiate(bdd.New()) },
 	} {
 		func() {
 			defer func() {
@@ -256,7 +256,7 @@ func TestModelConfigValidation(t *testing.T) {
 // TestReachabilityInvariants drives the simulation path: random walks
 // from the initial state must stay inside the symbolic reachable set.
 func TestReachabilityInvariants(t *testing.T) {
-	p := NewNetwork(bdd.New(), NetworkConfig{Procs: 2})
+	p := BuildNetwork(NetworkConfig{Procs: 2}).MustInstantiate(bdd.New())
 	reach, _, err := verify.ReachableStates(p, verify.Options{})
 	if err != nil {
 		t.Fatal(err)

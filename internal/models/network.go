@@ -3,9 +3,7 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/bdd"
 	"repro/internal/ir"
-	"repro/internal/verify"
 )
 
 // NetworkConfig parameterizes the processors-and-network abstraction of
@@ -158,10 +156,4 @@ func BuildNetwork(cfg NetworkConfig) *ir.Model {
 		}
 	}
 	return b.Build()
-}
-
-// NewNetwork builds the network problem on the given manager — a thin
-// shim over BuildNetwork + ir.Instantiate.
-func NewNetwork(m *bdd.Manager, cfg NetworkConfig) verify.Problem {
-	return BuildNetwork(cfg).MustInstantiate(m)
 }

@@ -3,9 +3,7 @@ package models
 import (
 	"fmt"
 
-	"repro/internal/bdd"
 	"repro/internal/ir"
-	"repro/internal/verify"
 )
 
 // PipelineConfig parameterizes the pipelined-processor equivalence
@@ -230,10 +228,4 @@ func BuildPipeline(cfg PipelineConfig) *ir.Model {
 		}
 	}
 	return b.Build()
-}
-
-// NewPipeline builds the processor-equivalence problem on the given
-// manager — a thin shim over BuildPipeline + ir.Instantiate.
-func NewPipeline(m *bdd.Manager, cfg PipelineConfig) verify.Problem {
-	return BuildPipeline(cfg).MustInstantiate(m)
 }

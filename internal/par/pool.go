@@ -50,8 +50,8 @@ func Serve[T any](n int, tasks <-chan T, fn func(worker int, task T)) {
 
 // Pool is a fixed-width worker pool. A Pool holds no goroutines between
 // calls: each ForEach spins up its workers, drains the tasks, and joins,
-// so an idle Pool costs nothing. That matters because pools are created
-// per evaluation call, sized to the caller's Workers option.
+// so an idle Pool costs nothing. Its one user is bench.Table.RunParallel,
+// which creates a pool per table, sized by icibench's -parallel flag.
 type Pool struct {
 	workers int
 }
@@ -76,8 +76,8 @@ func (p *Pool) Size() int { return p.workers }
 //
 // When n is 0 or negative ForEach is a no-op. When the pool has a single
 // worker (or a single task), the tasks run inline on the calling
-// goroutine in task order, so a Workers=1 configuration exercises the
-// same code path deterministically with zero scheduling noise.
+// goroutine in task order, so a one-worker pool exercises the same code
+// path deterministically with zero scheduling noise.
 //
 // A panic in a task stops the distribution of further tasks; after all
 // in-flight tasks drain, ForEach re-panics on the calling goroutine with

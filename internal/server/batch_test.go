@@ -549,7 +549,7 @@ func TestBatchCancel(t *testing.T) {
 // trace's assignment vectors cover.
 func TestTraceRenderErrorSurfaces(t *testing.T) {
 	m := bdd.New()
-	p := models.NewLink(m, models.LinkConfig{DataBits: 1, Bug: true})
+	p := models.BuildLink(models.LinkConfig{DataBits: 1, Bug: true}).MustInstantiate(m)
 	res := verify.Run(p, verify.Backward, verify.Options{WantTrace: true})
 	if res.Outcome != verify.Violated || res.Trace == nil {
 		t.Fatalf("bugged link under Bkwd: %v, trace %v", res.Outcome, res.Trace)

@@ -159,32 +159,32 @@ func TestConcurrentFiveModels(t *testing.T) {
 		{
 			req: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"},
 			direct: func(m *bdd.Manager) verify.Problem {
-				return models.NewFIFO(m, models.DefaultFIFO(3))
+				return models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
 			},
 		},
 		{
 			req: SubmitRequest{Builtin: "network", Size: 2, Engine: "FD"},
 			direct: func(m *bdd.Manager) verify.Problem {
-				return models.NewNetwork(m, models.NetworkConfig{Procs: 2})
+				return models.BuildNetwork(models.NetworkConfig{Procs: 2}).MustInstantiate(m)
 			},
 		},
 		{
 			req: SubmitRequest{Builtin: "filter", Size: 4, Assist: true, Engine: "ICI"},
 			direct: func(m *bdd.Manager) verify.Problem {
-				return models.NewFilter(m, models.DefaultFilter(4, true))
+				return models.BuildFilter(models.DefaultFilter(4, true)).MustInstantiate(m)
 			},
 		},
 		{
 			req: SubmitRequest{Builtin: "pipeline", Regs: 2, Bits: 1, Engine: "XICI"},
 			direct: func(m *bdd.Manager) verify.Problem {
-				return models.NewPipeline(m, models.DefaultPipeline(2, 1))
+				return models.BuildPipeline(models.DefaultPipeline(2, 1)).MustInstantiate(m)
 			},
 		},
 		{
 			req: SubmitRequest{Builtin: "link", Size: 1, Bug: true, Engine: "Bkwd",
 				Options: OptionsSpec{WantTrace: true}},
 			direct: func(m *bdd.Manager) verify.Problem {
-				return models.NewLink(m, models.LinkConfig{DataBits: 1, Bug: true})
+				return models.BuildLink(models.LinkConfig{DataBits: 1, Bug: true}).MustInstantiate(m)
 			},
 		},
 	}

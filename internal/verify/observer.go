@@ -110,7 +110,7 @@ type TermEvent struct {
 	Stats core.TermStats `json:"stats"`
 }
 
-// Observer receives progress events from a running engine. All seven
+// Observer receives progress events from a running engine. All eight
 // registered engines report through it; a nil Options.Observer costs
 // nothing. Callbacks run synchronously on the engine's goroutine — keep
 // them cheap, and do not call back into the run's Manager.

@@ -29,7 +29,7 @@ func (r *recorder) OnTermResolved(e verify.TermEvent)   { r.terms = append(r.ter
 // Result, a size trajectory whose maximum is the reported peak, and the
 // bucket invariant on the termination counters.
 func TestResultCarriesEffortStats(t *testing.T) {
-	p := models.NewFIFO(bdd.New(), models.DefaultFIFO(3))
+	p := models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(bdd.New())
 	res := verify.Run(p, verify.XICI, verify.Options{})
 	if res.Outcome != verify.Verified {
 		t.Fatalf("outcome %v: %s", res.Outcome, res.Why)
@@ -65,7 +65,7 @@ func TestResultCarriesEffortStats(t *testing.T) {
 // one OnTermResolved whose final event reports convergence with the
 // run's cumulative counters.
 func TestObserverEventStream(t *testing.T) {
-	p := models.NewFIFO(bdd.New(), models.DefaultFIFO(3))
+	p := models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(bdd.New())
 	rec := &recorder{}
 	res := verify.Run(p, verify.XICI, verify.Options{Observer: rec})
 	if res.Outcome != verify.Verified {
@@ -100,7 +100,7 @@ func TestObserverEventStream(t *testing.T) {
 // and termination events on a problem it can decide.
 func TestObserverAllEngines(t *testing.T) {
 	for _, meth := range verify.Methods {
-		p := models.NewFIFO(bdd.New(), models.DefaultFIFO(2))
+		p := models.BuildFIFO(models.DefaultFIFO(2)).MustInstantiate(bdd.New())
 		rec := &recorder{}
 		res := verify.Run(p, meth, verify.Options{Observer: rec})
 		if res.Outcome == verify.Exhausted && meth != verify.Induction {
@@ -123,7 +123,7 @@ func TestObserverAllEngines(t *testing.T) {
 // TestExhaustedKeepsPartialStats: a run aborted by the iteration cap
 // still reports the effort spent before the abort.
 func TestExhaustedKeepsPartialStats(t *testing.T) {
-	p := models.NewPipeline(bdd.New(), models.PipelineConfig{Regs: 2, Width: 1, Assist: true})
+	p := models.BuildPipeline(models.PipelineConfig{Regs: 2, Width: 1, Assist: true}).MustInstantiate(bdd.New())
 	res := verify.Run(p, verify.XICI, verify.Options{
 		Budget: resource.Budget{MaxIterations: 2},
 	})
@@ -146,7 +146,7 @@ func TestExhaustedKeepsPartialStats(t *testing.T) {
 // counters alone — both on the Result and in the caller's sink.
 func TestStatsPerRunAcrossRuns(t *testing.T) {
 	m := bdd.New()
-	p := models.NewFIFO(m, models.DefaultFIFO(3))
+	p := models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
 	var sink core.EvalStats
 	opt := verify.Options{Core: core.Options{Stats: &sink}}
 
@@ -182,8 +182,8 @@ func TestStatsPerRunAcrossRuns(t *testing.T) {
 // the test stays exact with step 3 disabled, and no call may resolve in
 // the step-3 bucket.
 func TestTermSkipStep3Exact(t *testing.T) {
-	base := verify.Run(models.NewFIFO(bdd.New(), models.DefaultFIFO(3)), verify.XICI, verify.Options{})
-	skip := verify.Run(models.NewFIFO(bdd.New(), models.DefaultFIFO(3)), verify.XICI, verify.Options{TermSkipStep3: true})
+	base := verify.Run(models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(bdd.New()), verify.XICI, verify.Options{})
+	skip := verify.Run(models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(bdd.New()), verify.XICI, verify.Options{TermSkipStep3: true})
 	if base.Outcome != verify.Verified || skip.Outcome != verify.Verified {
 		t.Fatalf("outcomes %v / %v, want verified", base.Outcome, skip.Outcome)
 	}
@@ -203,7 +203,7 @@ func TestTermSkipStep3Exact(t *testing.T) {
 // refcounts exactly where the first run left them.
 func TestGCProtectIdempotentAcrossRuns(t *testing.T) {
 	m := bdd.New()
-	p := models.NewFIFO(m, models.DefaultFIFO(2))
+	p := models.BuildFIFO(models.DefaultFIFO(2)).MustInstantiate(m)
 	opt := verify.Options{GCEvery: 1}
 
 	refs := func() map[bdd.Ref]int {

@@ -48,13 +48,3 @@ func init() {
 		})
 	}
 }
-
-// FSMSource returns the embedded `.fsm` source of a fsm/<name> entry —
-// the raw form tools that re-import (the fuzzer corpus) start from.
-func FSMSource(name string) ([]byte, bool) {
-	b, err := fs.ReadFile(fsmFiles, "fsm/"+strings.TrimPrefix(name, "fsm/")+".fsm")
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
