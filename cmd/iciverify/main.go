@@ -7,7 +7,7 @@
 //	iciverify -model fifo -size 5 -method XICI
 //	iciverify -model filter -size 8 -assist -method ICI
 //	iciverify -model pipeline -regs 2 -bits 3 -method Bkwd -nodelimit 2000000
-//	iciverify -model network -size 4 -method FD
+//	iciverify -model network -method FD            # zoo default size (4 processors)
 //	iciverify -model fifo -size 3 -bug -method Fwd -trace
 //	iciverify -model fifo -size 4 -engines Fwd,Bkwd,XICI
 //	iciverify -model elevator -params floors=5
@@ -18,10 +18,12 @@
 // Built-in models resolve through the zoo registry (every entry `icid`
 // serves and `icibench -zoo` grids): the paper families take the flat
 // flags (fifo size = depth, network size = processors, filter size =
-// window depth, pipeline -regs/-bits), and every entry takes named
-// -params name=value pairs, which win over the flat flags. -fsm imports
-// an FSM-toolkit .fsm machine from disk (see internal/fsmtk); -file
-// verifies a textual model (see internal/lang).
+// window depth, coherence size = caches, link size = data bits,
+// pipeline -regs/-bits; 0, the default, keeps the entry's default), and
+// every entry takes named -params name=value pairs, which win over the
+// flat flags. -events appends one NDJSON line per engine event. -fsm
+// imports an FSM-toolkit .fsm machine from disk (see internal/fsmtk);
+// -file verifies a textual model (see internal/lang).
 // Ctrl-C cancels a running traversal cleanly (reported as exhausted).
 //
 // Exit codes (multi-engine runs report the worst outcome, where
@@ -36,6 +38,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -67,9 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		model     = fs.String("model", "fifo", "zoo model name (fifo, network, filter, pipeline, coherence, link, elevator, traffic, protostack, fsm/..., ...)")
 		params    = fs.String("params", "", "comma-separated name=value zoo parameters (e.g. floors=5,bug=1); these win over the flat size flags")
-		size      = fs.Int("size", 5, "model size (fifo depth, network processors, filter depth, coherence caches, link data bits)")
-		regs      = fs.Int("regs", 2, "pipeline: number of registers")
-		bits      = fs.Int("bits", 1, "pipeline: datapath width")
+		size      = fs.Int("size", 0, "model size (fifo depth, network processors, filter depth, coherence caches, link data bits; 0 = the model's default)")
+		regs      = fs.Int("regs", 0, "pipeline: number of registers (0 = the model's default)")
+		bits      = fs.Int("bits", 0, "pipeline: datapath width (0 = the model's default)")
 		method    = fs.String("method", "XICI", "method: Fwd, FwdID, Bkwd, FD, ICI, XICI, Induction, PDR")
 		engines   = fs.String("engines", "", "comma-separated engines to run in sequence (overrides -method); \"list\" prints the registered engines and exits")
 		assist    = fs.Bool("assist", false, "supply user assisting invariants / partition")
@@ -183,16 +186,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Core:        core.Options{GrowThreshold: *threshold},
 	}
 
-	var elog *verify.NDJSONObserver
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fmt.Fprintf(stderr, "iciverify: %v\n", err)
 			return 2
 		}
-		defer f.Close()
-		elog = verify.NewNDJSONObserver(f)
-		opt.Observer = elog
+		enc := json.NewEncoder(f)
+		failed := false
+		report := func(err error) {
+			if err != nil && !failed {
+				failed = true
+				fmt.Fprintf(stderr, "iciverify: -events: %v\n", err)
+			}
+		}
+		defer func() { report(f.Close()) }()
+		opt.Observer = func(e verify.Event) { report(enc.Encode(e)) }
 	}
 
 	if *dotOut != "" {
@@ -217,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The run list: -engines selects several, -method one; both resolve
-	// through the engine registry, case-insensitively ("pdr" works).
+	// through verify.Resolve, case-insensitively ("pdr" works).
 	var names []string
 	if *engines != "" {
 		names = strings.Split(*engines, ",")
@@ -244,9 +253,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "iciverify: %v\n", err)
 				return 2
 			}
-		}
-		if elog != nil {
-			elog.SetMethod(string(meth))
 		}
 		start := time.Now()
 		res := verify.RunContext(ctx, p, meth, opt)
@@ -288,25 +294,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// legacySizeKey maps the flat -size flag onto the zoo parameter it has
-// always meant, for the original six families.
-var legacySizeKey = map[string]string{
-	"fifo":      "depth",
-	"network":   "procs",
-	"filter":    "depth",
-	"coherence": "caches",
-	"link":      "data-bits",
-}
-
 // modelSize resolves the flat flags and the -params list into the zoo
-// size overrides for the named entry.
+// size overrides for the named entry. A flat flag left at 0 keeps the
+// entry's default.
 func modelSize(model string, size, regs, bits int, assist, bug bool, params string) (zoo.Size, error) {
 	sz := zoo.Size{}
-	if key, ok := legacySizeKey[model]; ok {
+	if key, ok := zoo.LegacySizeKey[model]; ok && size != 0 {
 		sz[key] = size
 	}
 	if model == "pipeline" {
-		sz["regs"], sz["width"] = regs, bits
+		if regs != 0 {
+			sz["regs"] = regs
+		}
+		if bits != 0 {
+			sz["width"] = bits
+		}
 	}
 	if assist {
 		sz["assist"] = 1

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/bdd"
+	"repro/internal/zoo"
 )
 
 var (
@@ -44,5 +49,44 @@ func TestEnginesDoNotShareAManager(t *testing.T) {
 	want := engineRow(t, solo, "XICI")
 	if got := engineRow(t, multi, "XICI"); got != want {
 		t.Fatalf("XICI after Bkwd: %q\nXICI alone:      %q", got, want)
+	}
+}
+
+// TestPaperFamiliesRunAtZooDefaults: with no size flags, each paper
+// family runs at its zoo entry's defaults. A flat -size default of 5
+// used to override them: filter exited 2 (its depth must be a power of
+// two) and network, coherence and link ran at size 5.
+func TestPaperFamiliesRunAtZooDefaults(t *testing.T) {
+	for _, model := range []string{"fifo", "network", "filter", "pipeline", "coherence", "link"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-model", model}, &stdout, &stderr); code == 2 {
+			t.Errorf("-model %s exited 2: %s", model, stderr.String())
+			continue
+		}
+		mo, err := zoo.Build(model, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mo.MustInstantiate(bdd.New())
+		want := fmt.Sprintf("model %s  (%d state bits, %d input bits)\n",
+			p.Name, p.Machine.StateBits(), p.Machine.InputBits())
+		if !strings.HasPrefix(stdout.String(), want) {
+			t.Errorf("-model %s: got\n%swant header %q", model, stdout.String(), want)
+		}
+	}
+}
+
+// TestEventsWriteErrorReported: a failing -events log is reported once
+// on stderr instead of being dropped silently.
+func TestEventsWriteErrorReported(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-model", "fifo", "-size", "3", "-engines", "Fwd,XICI", "-events", "/dev/full"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if n := strings.Count(stderr.String(), "-events: "); n != 1 {
+		t.Fatalf("%d -events errors on stderr, want 1:\n%s", n, stderr.String())
 	}
 }

@@ -25,8 +25,9 @@ import (
 // or a size accounting that counts internal nodes only — can make the
 // denominator collapse, and a zero here turns the ratio into NaN/Inf:
 // NaN compares inconsistently, so the heap path and the rescan reference
-// would silently pick different merges. All three scorers (sequential,
-// parallel, rescan) must use this same guard to stay Ref-identical.
+// would silently pick different merges. Both scorers (the heap path and
+// the test-only rescan reference) must use this same guard to stay
+// Ref-identical.
 func pairDenominator(den int) int {
 	if den < 1 {
 		return 1

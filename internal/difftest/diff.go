@@ -31,9 +31,9 @@ type Config struct {
 	OracleInputBits int
 }
 
-// EngineSpec names one engine configuration under test: a registered
-// method plus the Options ablation knobs it runs with. The name is the
-// stable identity used in reports.
+// EngineSpec names one engine configuration under test: a verify
+// method (or BuggyMethod) plus the Options ablation knobs it runs with.
+// The name is the stable identity used in reports.
 type EngineSpec struct {
 	Name   string
 	Method verify.Method
@@ -233,7 +233,7 @@ func RunInstance(inst Instance, cfg Config) Report {
 		if spec.Tune != nil {
 			spec.Tune(&opt)
 		}
-		res := verify.Run(inst.Problem, spec.Method, opt)
+		res := runMethod(inst.Problem, spec.Method, opt)
 
 		v := EngineVerdict{Engine: spec.Name, Outcome: res.Outcome.String(), Cause: res.Cause()}
 		if res.Outcome == verify.Violated {

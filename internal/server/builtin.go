@@ -18,16 +18,6 @@ import (
 // content-addressed cache identity. A builtin submission and a textual
 // submission of the equivalent model therefore share one cache entry.
 
-// legacySizeKey maps the original flat "size" knob onto the zoo entry's
-// named parameter, for the six family names the first API version had.
-var legacySizeKey = map[string]string{
-	"fifo":      "depth",
-	"network":   "procs",
-	"filter":    "depth",
-	"coherence": "caches",
-	"link":      "data-bits",
-}
-
 // legacyDefaults reproduces the first API version's default sizes,
 // which were smaller than the zoo entries' own defaults.
 var legacyDefaults = map[string]zoo.Size{
@@ -52,7 +42,7 @@ func builtinSize(req *SubmitRequest) (zoo.Size, error) {
 		size[k] = v
 	}
 	if req.Size != 0 {
-		key, ok := legacySizeKey[req.Builtin]
+		key, ok := zoo.LegacySizeKey[req.Builtin]
 		if !ok {
 			return nil, fmt.Errorf("builtin %q takes named parameters; use \"params\" instead of \"size\"", req.Builtin)
 		}

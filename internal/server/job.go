@@ -74,7 +74,8 @@ func (l *eventLog) terminal() bool {
 
 // job is one verification task: a POST /jobs body or a batch member,
 // built by Server.resolve and admitted by Server.admit. Its log holds the
-// engine events from the verify.Observer adapter plus lifecycle markers.
+// engine events its runs' Options.Observer receives plus lifecycle
+// markers.
 type job struct {
 	eventLog // mu also guards state through cached
 

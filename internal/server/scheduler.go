@@ -174,14 +174,14 @@ func (s *Server) runAttempt(j *job, meth verify.Method, budget resource.Budget) 
 	var engineLines []json.RawMessage
 	opt := j.opt
 	opt.Budget = budget
-	opt.Observer = verify.SinkObserver{Method: string(meth), Sink: func(e verify.Event) {
+	opt.Observer = func(e verify.Event) {
 		line, err := json.Marshal(e)
 		if err != nil {
 			return
 		}
 		engineLines = append(engineLines, line)
 		j.emit(line)
-	}}
+	}
 
 	res := verify.RunContext(j.ctx, p, meth, opt)
 

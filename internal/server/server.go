@@ -4,10 +4,10 @@
 // bounded queue, schedules them across a par.Serve worker pool — one
 // fresh BDD manager per job, the job's resource.Budget joined to the
 // daemon lifecycle and (for synchronous submissions) the client's
-// request context — and streams per-job progress as NDJSON by adapting
-// the verify.Observer to a network sink. Completed deterministic
-// results live in a content-addressed cache keyed by the canonical
-// model text, engine, options, and budget.
+// request context — and streams per-job progress as NDJSON by
+// marshalling each verify.Event the run's Options.Observer receives.
+// Completed deterministic results live in a content-addressed cache
+// keyed by the canonical model text, engine, options, and budget.
 //
 // Endpoints: POST /jobs, GET /jobs, GET /jobs/{id}, DELETE /jobs/{id},
 // GET /jobs/{id}/events (NDJSON stream), POST /batches, GET /batches,

@@ -4,14 +4,12 @@ import (
 	"repro/internal/core"
 )
 
-func init() { RegisterFunc(Backward, runBackward) }
-
 // runBackward is the conventional backward traversal of Section II.B:
 // G_0 = G, G_{i+1} = G_0 ∧ BackImage(τ, G_i); a violation is S ⊄ G_i,
 // and convergence of the G_i sequence means the property holds. The
 // whole point of the implicit methods is that this engine must build the
 // monolithic BDD for G and each G_i.
-func runBackward(c *Ctx, p Problem, opt Options) Result {
+func runBackward(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/resource"
 )
 
-// Ctx is the harness state shared with a running engine: GC root
+// runCtx is the harness state shared with a running engine: GC root
 // bookkeeping, the resolved resource budget, and the progress sink —
 // iterations completed and the peak iterate statistics — that the
 // harness reads back when the run aborts mid-operation, so Exhausted
@@ -18,7 +18,7 @@ import (
 // Engines report progress through Tick and Observe and register
 // GC-surviving values through Protect; the harness owns creation,
 // release, and Result finalization.
-type Ctx struct {
+type runCtx struct {
 	m       *bdd.Manager
 	opt     Options
 	budget  resource.Budget
@@ -37,13 +37,11 @@ type Ctx struct {
 	eval       core.EvalStats
 	phases     PhaseDurations
 	trajectory []int
-	observer   Observer
 }
 
-func newCtx(p Problem, opt Options, b resource.Budget) *Ctx {
+func newCtx(p Problem, opt Options, b resource.Budget) *runCtx {
 	ma := p.Machine
-	c := &Ctx{m: ma.M, opt: opt, budget: b,
-		maxIter: b.MaxIter(defaultMaxIter), observer: opt.Observer}
+	c := &runCtx{m: ma.M, opt: opt, budget: b, maxIter: b.MaxIter(defaultMaxIter)}
 	if opt.GCEvery > 0 {
 		// The machine's functions and the problem's property/dependency
 		// BDDs must survive every collection — including collections in
@@ -65,7 +63,7 @@ func newCtx(p Problem, opt Options, b resource.Budget) *Ctx {
 }
 
 // Protect registers a root (no-op when GC is disabled) and returns it.
-func (c *Ctx) Protect(r bdd.Ref) bdd.Ref {
+func (c *runCtx) Protect(r bdd.Ref) bdd.Ref {
 	if c.opt.GCEvery > 0 {
 		c.m.Protect(r)
 		c.roots = append(c.roots, r)
@@ -75,7 +73,7 @@ func (c *Ctx) Protect(r bdd.Ref) bdd.Ref {
 
 // release drops all roots registered so far (called by the harness when
 // the run ends).
-func (c *Ctx) release() {
+func (c *runCtx) release() {
 	for _, r := range c.roots {
 		c.m.Unprotect(r)
 	}
@@ -84,7 +82,7 @@ func (c *Ctx) release() {
 
 // MaybeGC runs a collection at the configured cadence. GC time is
 // attributed to PhaseGC centrally here, for every engine.
-func (c *Ctx) MaybeGC(iteration int) {
+func (c *runCtx) MaybeGC(iteration int) {
 	if c.opt.GCEvery > 0 && iteration > 0 && iteration%c.opt.GCEvery == 0 {
 		stop := c.Phase(PhaseGC)
 		c.m.GC()
@@ -95,9 +93,9 @@ func (c *Ctx) MaybeGC(iteration int) {
 // Observe records an iterate's shared node count and (for the implicit
 // engines) per-conjunct profile, keeping the maximum seen and appending
 // to the size trajectory. Engines call it once per iterate (including
-// the initial one), which also drives the Observer's OnIteration events;
-// results read the peak back via Peak and the trajectory via the Result.
-func (c *Ctx) Observe(shared int, profile []int) {
+// the initial one), which also emits the EventIteration events; results
+// read the peak back via Peak and the trajectory via the Result.
+func (c *runCtx) Observe(shared int, profile []int) {
 	c.trajectory = append(c.trajectory, shared)
 	if shared > c.peak {
 		c.peak = shared
@@ -105,12 +103,9 @@ func (c *Ctx) Observe(shared int, profile []int) {
 			c.profile = append(c.profile[:0], profile...)
 		}
 	}
-	if c.observer != nil {
-		c.observer.OnIteration(IterationEvent{
-			Index:       len(c.trajectory) - 1,
-			SharedNodes: shared,
-			Profile:     profile,
-		})
+	if c.opt.Observer != nil {
+		c.opt.Observer(Event{Kind: EventIteration, Iteration: &IterationEvent{
+			Index: len(c.trajectory) - 1, SharedNodes: shared, Profile: profile}})
 	}
 }
 
@@ -121,7 +116,7 @@ func (c *Ctx) Observe(shared int, profile []int) {
 //	stop := c.Phase(PhaseImage)
 //	back := ma.BackImageList(g.Conjuncts)
 //	stop()
-func (c *Ctx) Phase(ph Phase) (stop func()) {
+func (c *runCtx) Phase(ph Phase) (stop func()) {
 	start := time.Now()
 	return func() { c.phases[ph] += time.Since(start) }
 }
@@ -129,7 +124,7 @@ func (c *Ctx) Phase(ph Phase) (stop func()) {
 // Termination returns the Section III.B exact-test configuration wired
 // to the run's TermStats sink. Engines that build a core.Termination
 // must obtain it here so the counters reach the Result.
-func (c *Ctx) Termination() core.Termination {
+func (c *runCtx) Termination() core.Termination {
 	return core.Termination{
 		M:          c.m,
 		Simplifier: c.opt.Core.Simplifier,
@@ -140,41 +135,38 @@ func (c *Ctx) Termination() core.Termination {
 }
 
 // CoreOptions returns the run's policy options wired to the EvalStats
-// sink and (when an Observer is installed) the OnMerge event stream.
+// sink and (when an Observer is installed) the EventMerge stream.
 // Engines pass the result — not opt.Core directly — to the Section
 // III.A entry points.
-func (c *Ctx) CoreOptions() core.Options {
+func (c *runCtx) CoreOptions() core.Options {
 	copt := c.opt.Core
-	copt.Stats = &c.eval
-	if c.observer != nil {
+	copt.Stats, copt.OnMerge = &c.eval, nil
+	if c.opt.Observer != nil {
 		copt.OnMerge = func(i, j int) {
-			c.observer.OnMerge(MergeEvent{Iteration: c.iterations, I: i, J: j})
+			c.opt.Observer(Event{Kind: EventMerge, Merge: &MergeEvent{Iteration: c.iterations, I: i, J: j}})
 		}
 	}
 	return copt
 }
 
-// EmitTermResolved notifies the Observer that the engine's convergence
+// EmitTermResolved emits an EventTermResolved: the engine's convergence
 // test resolved for the current iteration.
-func (c *Ctx) EmitTermResolved(converged bool) {
-	if c.observer != nil {
-		c.observer.OnTermResolved(TermEvent{
-			Iteration: c.iterations,
-			Converged: converged,
-			Stats:     c.term,
-		})
+func (c *runCtx) EmitTermResolved(converged bool) {
+	if c.opt.Observer != nil {
+		c.opt.Observer(Event{Kind: EventTermResolved, Term: &TermEvent{
+			Iteration: c.iterations, Converged: converged, Stats: c.term}})
 	}
 }
 
 // Peak returns the largest iterate statistics observed so far.
-func (c *Ctx) Peak() (shared int, profile []int) { return c.peak, c.profile }
+func (c *runCtx) Peak() (shared int, profile []int) { return c.peak, c.profile }
 
 // Tick marks the start of iteration i and enforces the iteration cap
 // and the wall/cancellation budget between image computations (the
 // manager's own strided checks additionally bound a single runaway
 // operation). When a bound is hit it returns the finished Exhausted
 // result and true; engines return it as-is.
-func (c *Ctx) Tick(i int) (Result, bool) {
+func (c *runCtx) Tick(i int) (Result, bool) {
 	c.iterations = i
 	if i >= c.maxIter {
 		return c.exhausted(&resource.IterError{Limit: c.maxIter}), true
@@ -187,7 +179,7 @@ func (c *Ctx) Tick(i int) (Result, bool) {
 
 // exhausted builds an Exhausted result carrying the typed overrun error
 // and the progress accumulated before it.
-func (c *Ctx) exhausted(err error) Result {
+func (c *runCtx) exhausted(err error) Result {
 	return Result{
 		Outcome:        Exhausted,
 		Err:            err,

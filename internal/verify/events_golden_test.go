@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -33,18 +34,19 @@ func TestEventStreamGolden(t *testing.T) {
 		{"coherence", zoo.Size{"caches": 2, "bug": 1}},
 	}
 	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	observe := func(e verify.Event) {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, mb := range members {
 		mo, err := zoo.Build(mb.entry, mb.size)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, meth := range verify.Methods {
-			obs := verify.NewNDJSONObserver(&got)
-			obs.SetMethod(string(meth))
-			verify.Run(mo.MustInstantiate(bdd.New()), meth, verify.Options{WantTrace: true, Observer: obs})
-			if err := obs.Err(); err != nil {
-				t.Fatal(err)
-			}
+			verify.Run(mo.MustInstantiate(bdd.New()), meth, verify.Options{WantTrace: true, Observer: observe})
 		}
 	}
 

@@ -7,8 +7,6 @@ import (
 	"repro/internal/fsm"
 )
 
-func init() { RegisterFunc(FD, runFD) }
-
 // runFD reconstructs the functional-dependency method of Hu & Dill
 // ("Reducing BDD Size by Exploiting Functional Dependencies", DAC 1993 —
 // ref [16]), the "FD" baseline of Table 1. The user declares that some
@@ -29,7 +27,7 @@ func init() { RegisterFunc(FD, runFD) }
 // is the property being verified, so this is precisely a property
 // violation. With no declared dependencies the method is plain forward
 // traversal.
-func runFD(c *Ctx, p Problem, opt Options) Result {
+func runFD(c *runCtx, p Problem, opt Options) Result {
 	if len(p.Deps) == 0 {
 		return runForward(c, p, opt)
 	}

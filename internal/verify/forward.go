@@ -7,12 +7,10 @@ import (
 	"repro/internal/resource"
 )
 
-func init() { RegisterFunc(Forward, runForward) }
-
 // runForward is the conventional forward traversal of Section II.B:
 // R_0 = S, R_{i+1} = R_0 ∨ Image(τ, R_i); a violation is R_i ⊄ G, and
 // convergence of the R_i sequence means the property holds.
-func runForward(c *Ctx, p Problem, opt Options) Result {
+func runForward(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 

@@ -6,8 +6,6 @@ import (
 	"repro/internal/fsm"
 )
 
-func init() { RegisterFunc(ForwardID, runForwardID) }
-
 // ForwardID is the dual of the paper's method, from the Section II.A
 // remark: "Dually, we can compute the Image and PreImage of implicit
 // disjunctions without building the BDD for the entire disjunction."
@@ -20,7 +18,7 @@ func init() { RegisterFunc(ForwardID, runForwardID) }
 const ForwardID Method = "FwdID"
 
 // runForwardID is the implicitly-disjoined forward traversal.
-func runForwardID(c *Ctx, p Problem, opt Options) Result {
+func runForwardID(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 

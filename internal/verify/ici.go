@@ -8,8 +8,6 @@ import (
 	"repro/internal/resource"
 )
 
-func init() { RegisterFunc(ICI, runICI) }
-
 // runICI reconstructs the original implicitly conjoined invariants method
 // of Hu & Dill (CAV 1993), the baseline this paper improves on:
 //
@@ -20,7 +18,7 @@ func init() { RegisterFunc(ICI, runICI) }
 //     the BackImage of conjunct j into position j together with G_0[j];
 //   - conjuncts are cross-simplified in place;
 //   - termination is the fast, inexact positional test.
-func runICI(c *Ctx, p Problem, opt Options) Result {
+func runICI(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 

@@ -22,9 +22,7 @@ import (
 // of the paper's iteration counts of 1.
 const Induction Method = "Induction"
 
-func init() { RegisterFunc(Induction, runInduction) }
-
-func runInduction(c *Ctx, p Problem, opt Options) Result {
+func runInduction(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 // Observability surface shared by every engine: per-phase wall-clock
 // timers, the effort counters of the Section III machinery (TermStats /
 // EvalStats), the per-iteration size trajectory, and an optional event
-// sink (Observer). Engines report through the Ctx helpers; the harness
-// copies the accumulated numbers onto the Result, so Exhausted runs keep
-// the partial effort spent before the abort.
+// stream (Options.Observer). Engines report through the runCtx helpers;
+// the harness copies the accumulated numbers onto the Result, so
+// Exhausted runs keep the partial effort spent before the abort.
 
 // Phase identifies one timed section of an engine's main loop.
 type Phase int
@@ -110,18 +111,55 @@ type TermEvent struct {
 	Stats core.TermStats `json:"stats"`
 }
 
-// Observer receives progress events from a running engine. All eight
-// registered engines report through it; a nil Options.Observer costs
-// nothing. Callbacks run synchronously on the engine's goroutine — keep
-// them cheap, and do not call back into the run's Manager.
-type Observer interface {
-	// OnIteration fires once per iterate, including the initial one.
-	OnIteration(e IterationEvent)
+// Event kinds, the value of Event.Kind.
+const (
+	EventIteration    = "iteration"
+	EventMerge        = "merge"
+	EventTermResolved = "term_resolved"
+)
 
-	// OnMerge fires for every merge the evaluation policy applies.
-	OnMerge(e MergeEvent)
+// Event is the envelope Options.Observer receives: one per iterate, per
+// policy merge, and per convergence test. Exactly one of the payload
+// pointers is set, matching Kind. The JSON form flattens the payload
+// into the envelope (see MarshalJSON), so a stream reads as
+//
+//	{"event":"iteration","method":"XICI","index":3,"shared_nodes":117}
+//	{"event":"merge","method":"XICI","iteration":3,"i":0,"j":2}
+type Event struct {
+	Kind   string // EventIteration, EventMerge, or EventTermResolved
+	Method string // the engine that produced the event
 
-	// OnTermResolved fires each time the engine's convergence test
-	// returns, with the cumulative termination counters.
-	OnTermResolved(e TermEvent)
+	Iteration *IterationEvent
+	Merge     *MergeEvent
+	Term      *TermEvent
+}
+
+// MarshalJSON flattens the set payload next to the envelope tags. One
+// envelope type per kind: MergeEvent and TermEvent both serialize an
+// "iteration" field, so a single struct embedding all three payloads
+// would make encoding/json drop the conflicting fields entirely.
+func (e Event) MarshalJSON() ([]byte, error) {
+	type tags struct {
+		Event  string `json:"event"`
+		Method string `json:"method,omitempty"`
+	}
+	tg := tags{Event: e.Kind, Method: e.Method}
+	switch {
+	case e.Iteration != nil:
+		return json.Marshal(struct {
+			tags
+			IterationEvent
+		}{tg, *e.Iteration})
+	case e.Merge != nil:
+		return json.Marshal(struct {
+			tags
+			MergeEvent
+		}{tg, *e.Merge})
+	case e.Term != nil:
+		return json.Marshal(struct {
+			tags
+			TermEvent
+		}{tg, *e.Term})
+	}
+	return json.Marshal(tg)
 }

@@ -15,8 +15,6 @@ import (
 // the Section III.A policy unchanged.
 const PDR Method = "PDR"
 
-func init() { RegisterFunc(PDR, runPDR) }
-
 // pdrRun carries the engine state through one run. frames[0] is the
 // initial-state list [init]; frames[i] for i >= 1 is a clause list
 // over-approximating the states reachable in at most i steps. The
@@ -24,7 +22,7 @@ func init() { RegisterFunc(PDR, runPDR) }
 // clause learned at level i is added to frames 1..i, and policy
 // restructuring preserves each frame's conjunction exactly.
 type pdrRun struct {
-	c      *Ctx
+	c      *runCtx
 	ma     *fsm.Machine
 	m      *bdd.Manager
 	init   bdd.Ref
@@ -48,7 +46,7 @@ type pdrRun struct {
 // initial state; because every level below k is fully blocked first,
 // the chain's length is the shortest violating path, matching the
 // depth contract of the other engines.
-func runPDR(c *Ctx, p Problem, opt Options) Result {
+func runPDR(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 

@@ -1,73 +1,41 @@
 package verify
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
 
-// Engine is one verification algorithm. Engines self-register in their
-// file's init() via Register or RegisterFunc; Run resolves methods
-// through the registry only, so adding an engine is a one-file change —
-// no switch to edit, and an Engine registered from outside this package
-// (a test file, an experiment) runs through the public API unchanged.
-//
-// Run receives the harness context c — budget checkpoints, GC root
-// bookkeeping, and the partial-statistics sink consulted when the run
-// aborts on a resource overrun — and must confine itself to the
-// algorithm's core loop: the harness owns budget installation, Guard
-// recovery, and Result finalization.
-type Engine interface {
-	Name() Method
-	Run(c *Ctx, p Problem, opt Options) Result
-}
+// engine is one verification algorithm's core loop. It runs under the
+// harness context c — budget checkpoints, GC root bookkeeping, the
+// event stream, and the partial-statistics sink consulted when the run
+// aborts on a resource overrun — while the harness owns budget
+// installation, Guard recovery, and Result finalization.
+type engine func(c *runCtx, p Problem, opt Options) Result
 
-// engineFunc adapts a plain function to the Engine interface.
-type engineFunc struct {
-	name Method
-	fn   func(c *Ctx, p Problem, opt Options) Result
-}
-
-func (e engineFunc) Name() Method                              { return e.name }
-func (e engineFunc) Run(c *Ctx, p Problem, opt Options) Result { return e.fn(c, p, opt) }
-
-// registry maps method names to engines. It is written during init()
-// (and, in tests, from other init functions) and read-only afterwards;
-// like the rest of the package it is not synchronized.
-var registry = map[Method]Engine{}
-
-// Register adds an engine to the registry. Registering a name twice is
-// a programming error and panics.
-func Register(e Engine) {
-	name := e.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("verify: duplicate engine registration %q", name))
-	}
-	registry[name] = e
-}
-
-// RegisterFunc registers a plain function as an engine.
-func RegisterFunc(name Method, fn func(c *Ctx, p Problem, opt Options) Result) {
-	Register(engineFunc{name: name, fn: fn})
-}
-
-// Lookup returns the engine registered under name.
-func Lookup(name Method) (Engine, bool) {
-	e, ok := registry[name]
-	return e, ok
+// engines is the static method table RunContext dispatches through.
+// Adding an engine means one entry here and one in Methods.
+var engines = map[Method]engine{
+	Forward:   runForward,
+	Backward:  runBackward,
+	FD:        runFD,
+	ICI:       runICI,
+	XICI:      runXICI,
+	ForwardID: runForwardID,
+	Induction: runInduction,
+	PDR:       runPDR,
 }
 
 // Resolve looks a method name up case-insensitively: flag plumbing
-// ("-engines pdr") and the HTTP API accept any casing of a registered
+// ("-engines pdr") and the HTTP API accept any casing of a known
 // name. An exact match wins; otherwise the unique case-insensitive
 // match is returned, and ok is false when none (or several) exist.
 func Resolve(name string) (Method, bool) {
-	if _, ok := registry[Method(name)]; ok {
+	if _, ok := engines[Method(name)]; ok {
 		return Method(name), true
 	}
 	var found Method
 	n := 0
-	for meth := range registry {
+	for meth := range engines {
 		if strings.EqualFold(string(meth), name) {
 			found = meth
 			n++
@@ -76,12 +44,12 @@ func Resolve(name string) (Method, bool) {
 	return found, n == 1
 }
 
-// Registered returns every registered method name, sorted. Unlike
-// Methods (the paper's table order, built-in engines only) this includes
-// engines registered from outside the package.
+// Registered returns every method name, sorted — the order icid's
+// /healthz, its error texts, and `-engines list` print. Methods holds
+// the same names in the paper's table order.
 func Registered() []Method {
-	out := make([]Method, 0, len(registry))
-	for name := range registry {
+	out := make([]Method, 0, len(engines))
+	for name := range engines {
 		out = append(out, name)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -1,7 +1,7 @@
-// Exercises the engine registry through the public API only: a toy
-// engine registered from this external test package must run under the
-// shared harness exactly like a built-in one.
-package verify_test
+// Exercises the engine table: a toy engine put into the table for a
+// test's duration must run under the shared harness exactly like a
+// built-in one.
+package verify
 
 import (
 	"errors"
@@ -10,32 +10,33 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/fsm"
 	"repro/internal/resource"
-	"repro/internal/verify"
 )
 
-const (
-	toyEngine   verify.Method = "TestToy"
-	abortEngine verify.Method = "TestAbort"
-)
+// withEngine puts eng into the engine table under name until t ends.
+func withEngine(t *testing.T, name Method, eng engine) {
+	t.Helper()
+	engines[name] = eng
+	t.Cleanup(func() { delete(engines, name) })
+}
 
-func init() {
-	verify.RegisterFunc(toyEngine, func(c *verify.Ctx, p verify.Problem, opt verify.Options) verify.Result {
-		return verify.Result{Outcome: verify.Verified, Iterations: 1, PeakStateNodes: 1}
-	})
-	// abortEngine reports progress, then dies mid-operation the way a
-	// BDD allocation overrun does — the harness must attach the partial
-	// statistics to the Exhausted result.
-	verify.RegisterFunc(abortEngine, func(c *verify.Ctx, p verify.Problem, opt verify.Options) verify.Result {
-		c.Observe(7, []int{4, 3})
-		if res, stop := c.Tick(3); stop {
-			return res
-		}
-		panic(&resource.LimitError{Limit: 10, Live: 11})
-	})
+// toyEngine verifies at once.
+func toyEngine(c *runCtx, p Problem, opt Options) Result {
+	return Result{Outcome: Verified, Iterations: 1, PeakStateNodes: 1}
+}
+
+// abortEngine reports progress, then dies mid-operation the way a BDD
+// allocation overrun does — the harness must attach the partial
+// statistics to the Exhausted result.
+func abortEngine(c *runCtx, p Problem, opt Options) Result {
+	c.Observe(7, []int{4, 3})
+	if res, stop := c.Tick(3); stop {
+		return res
+	}
+	panic(&resource.LimitError{Limit: 10, Live: 11})
 }
 
 // toggle is the smallest sealable machine: one bit, toggling.
-func toggle(t *testing.T) verify.Problem {
+func toggle(t *testing.T) Problem {
 	t.Helper()
 	m := bdd.New()
 	ma := fsm.New(m)
@@ -43,15 +44,16 @@ func toggle(t *testing.T) verify.Problem {
 	ma.SetNext(x, m.NVarRef(x))
 	ma.SetInit(m.NVarRef(x))
 	ma.MustSeal()
-	return verify.Problem{Machine: ma, Good: bdd.One, Name: "toggle"}
+	return Problem{Machine: ma, Good: bdd.One, Name: "toggle"}
 }
 
 func TestToyEngineRunsThroughPublicAPI(t *testing.T) {
-	res := verify.Run(toggle(t), toyEngine, verify.Options{})
-	if res.Outcome != verify.Verified {
+	withEngine(t, "TestToy", toyEngine)
+	res := Run(toggle(t), "TestToy", Options{})
+	if res.Outcome != Verified {
 		t.Fatalf("outcome %v (%s)", res.Outcome, res.Why)
 	}
-	if res.Method != toyEngine || res.Problem != "toggle" {
+	if res.Method != "TestToy" || res.Problem != "toggle" {
 		t.Fatalf("harness did not finalize the result: %+v", res)
 	}
 	if res.MemBytes <= 0 {
@@ -60,8 +62,9 @@ func TestToyEngineRunsThroughPublicAPI(t *testing.T) {
 }
 
 func TestExhaustedResultKeepsPartialStats(t *testing.T) {
-	res := verify.Run(toggle(t), abortEngine, verify.Options{})
-	if res.Outcome != verify.Exhausted {
+	withEngine(t, "TestAbort", abortEngine)
+	res := Run(toggle(t), "TestAbort", Options{})
+	if res.Outcome != Exhausted {
 		t.Fatalf("outcome %v, want exhausted", res.Outcome)
 	}
 	if !errors.Is(res.Err, resource.ErrNodeLimit) {
@@ -79,9 +82,9 @@ func TestExhaustedResultKeepsPartialStats(t *testing.T) {
 }
 
 func TestIterationCapViaBudget(t *testing.T) {
-	res := verify.Run(toggle(t), abortEngine,
-		verify.Options{Budget: resource.Budget{MaxIterations: 2}})
-	if res.Outcome != verify.Exhausted || !errors.Is(res.Err, resource.ErrIterLimit) {
+	withEngine(t, "TestAbort", abortEngine)
+	res := Run(toggle(t), "TestAbort", Options{Budget: resource.Budget{MaxIterations: 2}})
+	if res.Outcome != Exhausted || !errors.Is(res.Err, resource.ErrIterLimit) {
 		t.Fatalf("outcome %v, Err %v, want exhausted/ErrIterLimit", res.Outcome, res.Err)
 	}
 	if res.Cause() != "iteration-cap" {
@@ -90,30 +93,16 @@ func TestIterationCapViaBudget(t *testing.T) {
 }
 
 func TestBuiltinMethodsAllRegistered(t *testing.T) {
-	if len(verify.Methods) != 8 {
-		t.Fatalf("Methods = %v, want all eight engines", verify.Methods)
+	if len(Methods) != 8 {
+		t.Fatalf("Methods = %v, want all eight engines", Methods)
 	}
-	registered := make(map[verify.Method]bool)
-	for _, name := range verify.Registered() {
-		registered[name] = true
+	registered := Registered()
+	if len(registered) != len(Methods) {
+		t.Fatalf("Registered() = %v, Methods = %v", registered, Methods)
 	}
-	for _, meth := range verify.Methods {
-		if !registered[meth] {
-			t.Fatalf("%s in Methods but not registered", meth)
-		}
-		if _, ok := verify.Lookup(meth); !ok {
-			t.Fatalf("Lookup(%s) failed", meth)
+	for _, meth := range Methods {
+		if engines[meth] == nil {
+			t.Fatalf("%s in Methods but not in the engine table", meth)
 		}
 	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	verify.RegisterFunc(toyEngine, func(c *verify.Ctx, p verify.Problem, opt verify.Options) verify.Result {
-		return verify.Result{}
-	})
 }

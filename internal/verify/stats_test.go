@@ -1,6 +1,7 @@
 // Observability-layer tests: Result stats plumbing, the Observer event
 // stream, per-phase timers, and the idempotent GC-root protection. In
-// package verify_test for the same reason as parallel_test.go.
+// package verify_test because they build problems with internal/models,
+// which imports verify.
 package verify_test
 
 import (
@@ -13,16 +14,24 @@ import (
 	"repro/internal/verify"
 )
 
-// recorder is a test Observer that counts events.
+// recorder collects a run's events by kind.
 type recorder struct {
 	iterations []verify.IterationEvent
 	merges     []verify.MergeEvent
 	terms      []verify.TermEvent
 }
 
-func (r *recorder) OnIteration(e verify.IterationEvent) { r.iterations = append(r.iterations, e) }
-func (r *recorder) OnMerge(e verify.MergeEvent)         { r.merges = append(r.merges, e) }
-func (r *recorder) OnTermResolved(e verify.TermEvent)   { r.terms = append(r.terms, e) }
+// observe is the recorder's Options.Observer.
+func (r *recorder) observe(e verify.Event) {
+	switch e.Kind {
+	case verify.EventIteration:
+		r.iterations = append(r.iterations, *e.Iteration)
+	case verify.EventMerge:
+		r.merges = append(r.merges, *e.Merge)
+	case verify.EventTermResolved:
+		r.terms = append(r.terms, *e.Term)
+	}
+}
 
 // TestResultCarriesEffortStats: an XICI run under the default exact
 // termination test must surface non-zero TermStats and EvalStats on the
@@ -60,19 +69,19 @@ func TestResultCarriesEffortStats(t *testing.T) {
 	}
 }
 
-// TestObserverEventStream: the Observer sees one OnIteration per
-// trajectory entry, OnMerge exactly MergesApplied times, and at least
-// one OnTermResolved whose final event reports convergence with the
-// run's cumulative counters.
+// TestObserverEventStream: the Observer sees one iteration event per
+// trajectory entry, exactly MergesApplied merge events, and at least
+// one term_resolved event, the last of which reports convergence with
+// the run's cumulative counters.
 func TestObserverEventStream(t *testing.T) {
 	p := models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(bdd.New())
 	rec := &recorder{}
-	res := verify.Run(p, verify.XICI, verify.Options{Observer: rec})
+	res := verify.Run(p, verify.XICI, verify.Options{Observer: rec.observe})
 	if res.Outcome != verify.Verified {
 		t.Fatalf("outcome %v: %s", res.Outcome, res.Why)
 	}
 	if len(rec.iterations) != len(res.SizeTrajectory) {
-		t.Errorf("%d OnIteration events for %d trajectory entries",
+		t.Errorf("%d iteration events for %d trajectory entries",
 			len(rec.iterations), len(res.SizeTrajectory))
 	}
 	for i, e := range rec.iterations {
@@ -82,10 +91,10 @@ func TestObserverEventStream(t *testing.T) {
 		}
 	}
 	if len(rec.merges) != res.Eval.MergesApplied {
-		t.Errorf("%d OnMerge events for %d merges", len(rec.merges), res.Eval.MergesApplied)
+		t.Errorf("%d merge events for %d merges", len(rec.merges), res.Eval.MergesApplied)
 	}
 	if len(rec.terms) == 0 {
-		t.Fatal("no OnTermResolved events")
+		t.Fatal("no term_resolved events")
 	}
 	last := rec.terms[len(rec.terms)-1]
 	if !last.Converged {
@@ -96,22 +105,22 @@ func TestObserverEventStream(t *testing.T) {
 	}
 }
 
-// TestObserverAllEngines: every registered engine must emit iteration
-// and termination events on a problem it can decide.
+// TestObserverAllEngines: every engine must emit iteration and
+// termination events on a problem it can decide.
 func TestObserverAllEngines(t *testing.T) {
 	for _, meth := range verify.Methods {
 		p := models.BuildFIFO(models.DefaultFIFO(2)).MustInstantiate(bdd.New())
 		rec := &recorder{}
-		res := verify.Run(p, meth, verify.Options{Observer: rec})
+		res := verify.Run(p, meth, verify.Options{Observer: rec.observe})
 		if res.Outcome == verify.Exhausted && meth != verify.Induction {
 			t.Errorf("%s: unexpected exhaustion: %s", meth, res.Why)
 			continue
 		}
 		if len(rec.iterations) == 0 {
-			t.Errorf("%s: no OnIteration events", meth)
+			t.Errorf("%s: no iteration events", meth)
 		}
 		if len(rec.terms) == 0 {
-			t.Errorf("%s: no OnTermResolved events", meth)
+			t.Errorf("%s: no term_resolved events", meth)
 		}
 		if len(rec.iterations) != len(res.SizeTrajectory) {
 			t.Errorf("%s: %d iteration events vs %d trajectory entries",
@@ -139,11 +148,12 @@ func TestExhaustedKeepsPartialStats(t *testing.T) {
 }
 
 // TestStatsPerRunAcrossRuns is the regression test for the stats-reuse
-// bug: a caller keeping one Options value (with a shared EvalStats sink)
-// across runs used to see the counters silently accumulate run over run,
-// breaking the TermStats bucket invariant for any single run and turning
-// MaxSplitDepth into a cross-run max. Each run must now report its own
-// counters alone — both on the Result and in the caller's sink.
+// bug: a caller keeping one Options value across runs used to see the
+// counters silently accumulate run over run, breaking the TermStats
+// bucket invariant for any single run and turning MaxSplitDepth into a
+// cross-run max. Each run must now report its own counters alone, and
+// a caller-supplied Core.Stats sink is left alone: Result.Eval is the
+// one place a run's greedy counters land.
 func TestStatsPerRunAcrossRuns(t *testing.T) {
 	m := bdd.New()
 	p := models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
@@ -153,9 +163,6 @@ func TestStatsPerRunAcrossRuns(t *testing.T) {
 	first := verify.Run(p, verify.XICI, opt)
 	if first.Outcome != verify.Verified {
 		t.Fatalf("outcome %v: %s", first.Outcome, first.Why)
-	}
-	if sink != first.Eval {
-		t.Errorf("caller sink %+v != first run's Eval %+v", sink, first.Eval)
 	}
 
 	second := verify.Run(p, verify.XICI, opt)
@@ -168,8 +175,8 @@ func TestStatsPerRunAcrossRuns(t *testing.T) {
 	if second.Term != first.Term {
 		t.Errorf("Term accumulated across runs: first %+v, second %+v", first.Term, second.Term)
 	}
-	if sink != second.Eval {
-		t.Errorf("caller sink %+v != second run's Eval %+v (accumulated?)", sink, second.Eval)
+	if sink != (core.EvalStats{}) {
+		t.Errorf("harness wrote to the caller's Core.Stats: %+v", sink)
 	}
 	for run, term := range map[string]core.TermStats{"first": first.Term, "second": second.Term} {
 		if term.Resolved()+term.ShannonSplits != term.TautCalls {

@@ -1,6 +1,7 @@
 // Package verify implements the verification paradigm of the paper's
 // Section II — checking that every reachable state satisfies a property
-// (AG p model checking) — with five interchangeable engines:
+// (AG p model checking) — with eight interchangeable engines. The
+// paper's five:
 //
 //	Forward   conventional forward reachability ("Fwd" in the tables)
 //	Backward  conventional backward traversal ("Bkwd")
@@ -12,6 +13,9 @@
 //	XICI      ICI extended with this paper's techniques: the Section
 //	          III.A evaluation & simplification policy and the Section
 //	          III.B exact termination test
+//
+// and three extensions, declared next to their implementations:
+// ForwardID, Induction and PDR.
 //
 // All engines run under a node budget and report the statistics the
 // paper's tables use: iterations to convergence, peak nodes of any
@@ -34,8 +38,8 @@ import (
 // Method selects a verification engine.
 type Method string
 
-// The paper's five engines. ForwardID and Induction are declared next
-// to their implementations.
+// The paper's five engines. ForwardID, Induction and PDR are declared
+// next to their implementations.
 const (
 	Forward  Method = "Fwd"
 	Backward Method = "Bkwd"
@@ -44,9 +48,8 @@ const (
 	FD       Method = "FD"
 )
 
-// Methods lists the built-in engines, the paper's five in table order
-// followed by the three extensions. Registered() additionally reports
-// engines registered from outside the package.
+// Methods lists the engines, the paper's five in table order followed
+// by the three extensions. Registered() lists the same names sorted.
 var Methods = []Method{Forward, Backward, FD, ICI, XICI, ForwardID, Induction, PDR}
 
 // TerminationMode selects how the implicit-conjunction engines detect
@@ -125,7 +128,9 @@ type Options struct {
 	// cancellation reach the BDD layer.
 	Budget resource.Budget
 
-	// Core configures the XICI evaluation & simplification policy.
+	// Core configures the XICI evaluation & simplification policy. The
+	// harness sets its Stats and OnMerge itself: a run's greedy counters
+	// land in Result.Eval and its merges reach Observer.
 	Core core.Options
 
 	// Termination selects the convergence test for ICI-family engines.
@@ -147,12 +152,13 @@ type Options struct {
 	// (0 = never). Live iterates are protected automatically.
 	GCEvery int
 
-	// Observer, when non-nil, receives progress events from the engine
-	// as the run unfolds: one OnIteration per iterate, one OnMerge per
-	// policy merge, one OnTermResolved per convergence test. Nil (the
-	// default) costs nothing. Callbacks run synchronously on the
-	// engine's goroutine.
-	Observer Observer
+	// Observer, when non-nil, receives progress events as the run
+	// unfolds, each stamped with the run's method: one EventIteration
+	// per iterate, one EventMerge per policy merge, one
+	// EventTermResolved per convergence test. Nil (the default) costs
+	// nothing. It runs synchronously on the engine's goroutine: keep it
+	// cheap, and do not call back into the run's Manager.
+	Observer func(Event)
 }
 
 // defaultMaxIter is the traversal depth bound when the budget sets none.
@@ -290,7 +296,7 @@ func (r Result) Cause() string {
 // Resource overruns inside BDD operations are converted into an
 // Exhausted result carrying the typed error and the statistics
 // accumulated up to the abort; the manager remains usable afterwards.
-// An unregistered method panics.
+// An unknown method panics.
 func Run(p Problem, method Method, opt Options) Result {
 	return RunContext(context.Background(), p, method, opt)
 }
@@ -301,25 +307,18 @@ func Run(p Problem, method Method, opt Options) Result {
 // matches context.Canceled. A context set on opt.Budget.Ctx takes
 // precedence.
 //
-// RunContext is the single harness all engines run under. It resolves
-// the method through the registry, installs the budget on the manager,
-// converts overrun panics via Guard, and finalizes the Result; engine
-// code holds only the algorithm's core loop.
+// RunContext is the single harness all engines run under. It looks
+// the method up in the engine table, installs the budget on the
+// manager, converts overrun panics via Guard, and finalizes the Result;
+// engine code holds only the algorithm's core loop. Every run counts
+// its effort in fresh sinks, so a caller reusing one Options value
+// sees each run's counters alone.
 func RunContext(ctx context.Context, p Problem, method Method, opt Options) Result {
-	eng, ok := Lookup(method)
+	eng, ok := engines[method]
 	if !ok {
 		panic(fmt.Sprintf("verify: unknown method %q", method))
 	}
 	m := p.Machine.M
-	// Stats sinks are per-run: a caller reusing one Options value across
-	// runs must see each run's counters alone, not a silent accumulation
-	// (which also breaks the TermStats bucket invariant and turns
-	// MaxSplitDepth into a cross-run max). The harness wires engines to
-	// its own zeroed Ctx sinks, so here it is enough to reset the
-	// caller's sink on entry and mirror the run's totals back on exit.
-	if opt.Core.Stats != nil {
-		*opt.Core.Stats = core.EvalStats{}
-	}
 
 	start := time.Now()
 	b := opt.Budget
@@ -330,6 +329,9 @@ func RunContext(ctx context.Context, p Problem, method Method, opt Options) Resu
 	restore := m.ApplyBudget(b)
 	defer restore()
 
+	if observe := opt.Observer; observe != nil {
+		opt.Observer = func(e Event) { e.Method = string(method); observe(e) }
+	}
 	c := newCtx(p, opt, b)
 	defer c.release()
 
@@ -338,21 +340,18 @@ func RunContext(ctx context.Context, p Problem, method Method, opt Options) Resu
 		// Already past the deadline or canceled: uniform Exhausted
 		// across all engines, without entering one.
 		res = c.exhausted(err)
-	} else if err := bdd.Guard(func() { res = eng.Run(c, p, opt) }); err != nil {
+	} else if err := bdd.Guard(func() { res = eng(c, p, opt) }); err != nil {
 		res = c.exhausted(err)
 	}
 	res.Problem = p.Name
 	res.Method = method
 	res.Elapsed = time.Since(start)
 	res.MemBytes = m.MemEstimate()
-	// Observability fields accumulate on the Ctx, so Exhausted runs
+	// Observability fields accumulate on the runCtx, so Exhausted runs
 	// report the partial effort spent before the abort.
 	res.Term = c.term
 	res.Eval = c.eval
 	res.PhaseDurations = c.phases
 	res.SizeTrajectory = c.trajectory
-	if opt.Core.Stats != nil {
-		*opt.Core.Stats = res.Eval
-	}
 	return res
 }

@@ -5,8 +5,6 @@ import (
 	"repro/internal/core"
 )
 
-func init() { RegisterFunc(XICI, runXICI) }
-
 // runXICI is the paper's method: backward traversal over implicitly
 // conjoined lists with
 //
@@ -23,7 +21,7 @@ func init() { RegisterFunc(XICI, runXICI) }
 // BackImage of the list is the list of BackImages (Theorem 1) and G_0's
 // conjuncts are appended rather than conjoined positionally — the policy
 // decides what is worth evaluating.
-func runXICI(c *Ctx, p Problem, opt Options) Result {
+func runXICI(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 
@@ -105,7 +103,7 @@ func converged(term core.Termination, mode TerminationMode, g, gn core.List) boo
 	}
 }
 
-func protectList(c *Ctx, l core.List) {
+func protectList(c *runCtx, l core.List) {
 	for _, cj := range l.Conjuncts {
 		c.Protect(cj)
 	}
