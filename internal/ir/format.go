@@ -13,8 +13,8 @@ import (
 // post-order, so the text stays linear in the DAG size (a nested adder
 // tree would otherwise print exponentially).
 //
-// The output is a fixed point: parsing it back (lang.ParseModel →
-// ToIR) reproduces the DAG including its sharing, and re-Formatting
+// The output is a fixed point: parsing it back (lang.ParseModel)
+// reproduces the DAG including its sharing, and re-Formatting
 // reproduces the text byte for byte. That is what makes the canonical
 // form safe to hash as a content address shared by Go-built and
 // text-built models.
@@ -99,7 +99,7 @@ func (mo *Model) Format() string {
 func (mo *Model) String() string { return mo.Format() }
 
 // exprs yields the declaration expressions in declaration order — the
-// traversal order both Format passes and ToIR agree on.
+// traversal order both Format passes use.
 func (mo *Model) exprs() []*Node {
 	var out []*Node
 	for _, d := range mo.Decls {

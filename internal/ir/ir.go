@@ -304,41 +304,6 @@ type Model struct {
 	Decls []Decl
 }
 
-// Params returns the declared parameters in order as a name → value
-// map (later declarations win on duplicates, which Validate rejects
-// anyway).
-func (mo *Model) Params() map[string]string {
-	out := map[string]string{}
-	for _, d := range mo.Decls {
-		if p, ok := d.(*Param); ok {
-			out[p.Name] = p.Value
-		}
-	}
-	return out
-}
-
-// States returns the state declarations in order.
-func (mo *Model) States() []*State {
-	var out []*State
-	for _, d := range mo.Decls {
-		if s, ok := d.(*State); ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Inputs returns the declared input names in order.
-func (mo *Model) Inputs() []string {
-	var out []string
-	for _, d := range mo.Decls {
-		if in, ok := d.(*Input); ok {
-			out = append(out, in.Names...)
-		}
-	}
-	return out
-}
-
 // Goods counts the property conjuncts.
 func (mo *Model) Goods() int {
 	n := 0

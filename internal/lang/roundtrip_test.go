@@ -8,10 +8,10 @@ import (
 	"repro/internal/verify"
 )
 
-// The wire-format contract: parse → print → parse is the identity on
-// ASTs, and the canonical form is a fixed point of Canon. Every model
-// the service accepts goes through this cycle (Canon is the cache key),
-// so an asymmetry here would silently alias distinct models.
+// The wire-format contract: the canonical text parses back to the same
+// IR, and is a fixed point of Canon. Every model the service accepts goes
+// through this cycle (Canon is the cache key), so an asymmetry here
+// would silently alias distinct models.
 func TestRoundTrip(t *testing.T) {
 	sources := map[string]string{
 		"mutex":  mutexModel,
@@ -47,35 +47,20 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
-		printed := mo.Format()
-		mo2, err := ParseModel(printed)
-		if err != nil {
-			t.Fatalf("%s: reparse of printed form failed: %v\nprinted:\n%s", name, err, printed)
-		}
-		if !reflect.DeepEqual(mo, mo2) {
-			t.Fatalf("%s: round-trip changed the AST\nfirst:  %#v\nsecond: %#v\nprinted:\n%s",
-				name, mo, mo2, printed)
-		}
-		// The canonical form is a fixed point: printing the reparsed
-		// model reproduces it byte for byte.
-		if printed2 := mo2.Format(); printed2 != printed {
-			t.Fatalf("%s: canonical form is not a fixed point\nfirst:\n%s\nsecond:\n%s",
-				name, printed, printed2)
-		}
-		// Canon (which normalizes through the fold-normal IR, so it may
-		// differ from the AST-level Format) is itself a fixed point: the
-		// canonical text reparses cleanly and canonicalizes to itself.
 		canon, err := Canon(src)
 		if err != nil {
 			t.Fatalf("%s: Canon: %v", name, err)
 		}
-		canon2, err := Canon(canon)
+		mo2, err := ParseModel(canon)
 		if err != nil {
-			t.Fatalf("%s: Canon of canonical text: %v\ncanon:\n%s", name, err, canon)
+			t.Fatalf("%s: reparse of canonical text failed: %v\ncanon:\n%s", name, err, canon)
 		}
-		if canon2 != canon {
-			t.Fatalf("%s: Canon is not a fixed point\nfirst:\n%s\nsecond:\n%s",
-				name, canon, canon2)
+		if !reflect.DeepEqual(mo, mo2) {
+			t.Fatalf("%s: canonical text parses to a different model\nfirst:  %#v\nsecond: %#v\ncanon:\n%s",
+				name, mo, mo2, canon)
+		}
+		if canon2 := mo2.Format(); canon2 != canon {
+			t.Fatalf("%s: Canon is not a fixed point\nfirst:\n%s\nsecond:\n%s", name, canon, canon2)
 		}
 	}
 }
@@ -108,8 +93,8 @@ func TestCanonPreservesSemantics(t *testing.T) {
 	}
 }
 
-// ParseModel alone must reject every static error Parse used to reject,
-// so the service can validate a submission without building any BDDs.
+// ParseModel alone must reject every error Parse rejects, so the service
+// can validate a submission without building any BDDs.
 func TestParseModelStaticErrors(t *testing.T) {
 	cases := map[string]string{
 		"unclosed":        `(input a`,
@@ -127,6 +112,15 @@ func TestParseModelStaticErrors(t *testing.T) {
 		"constraint-args": "(state s :init 0 :next s)\n(constraint s s)\n(good true)",
 		"empty-expr":      "(state s :init 0 :next ())\n(good true)",
 		"undeclared-good": "(state s :init 0 :next s)\n(good (and s q))",
+		"undeclared-fold": "(state s :init 0 :next s)\n(good (or q true))",
+		"no-state":        "(good true)",
+		"input-only":      "(input a)\n(good a)",
+		"var-true":        "(input true)\n(state s :init 0 :next s)\n(good s)",
+		"def-before-use":  "(state s :init 0 :next d)\n(def d s)\n(good s)",
+		"def-self":        "(state s :init 0 :next s)\n(def d (not d))\n(good s)",
+		"def-var-clash":   "(def s true)\n(state s :init 0 :next s)\n(good s)",
+		"dup-def":         "(def d true)\n(def d false)\n(state s :init 0 :next d)\n(good s)",
+		"def-constant":    "(def true false)\n(state s :init 0 :next s)\n(good s)",
 	}
 	for name, src := range cases {
 		if _, err := ParseModel(src); err == nil {

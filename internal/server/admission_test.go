@@ -214,3 +214,41 @@ func TestQueueFullFloodLeavesHistoryConsistent(t *testing.T) {
 	e.waitDone(t, a)
 	e.waitDone(t, b)
 }
+
+// A model that parses but cannot instantiate (no state bit, or a
+// variable named like a constant) is a 400 at admission, async, in wait
+// mode and as a batch member alike: it takes no queue slot, no worker
+// and no job id, and ends in no error state.
+func TestUninstantiableModelRejected(t *testing.T) {
+	e := newTestServer(t, Config{Workers: 1})
+	for _, model := range []string{
+		"(good true)",
+		"(input a)\n(good a)",
+		"(input true)\n(state s :init 0 :next s)\n(good s)",
+	} {
+		for _, wait := range []bool{false, true} {
+			resp, data := e.post(t, SubmitRequest{Model: model, Wait: wait})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%q wait=%v: status %d (%s), want 400", model, wait, resp.StatusCode, data)
+			}
+		}
+		batch := BatchRequest{Jobs: []BatchEntry{
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3}},
+			{SubmitRequest: SubmitRequest{Model: model}},
+		}}
+		if resp := postJSON(t, e.ts.URL+"/batches", batch, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q as a batch member: status %d, want 400", model, resp.StatusCode)
+		}
+	}
+	if got := metricInt(t, e.metricsDoc(t), "submitted"); got != 0 {
+		t.Errorf("submitted = %d after only rejected submissions", got)
+	}
+	_, data := e.get(t, "/jobs")
+	var jobs []JobStatus
+	if err := json.Unmarshal(data, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Errorf("%d jobs listed after only rejected submissions", len(jobs))
+	}
+}

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite golden canonical-form files")
 
 // TestGoldenRoundTrip pins the canonical serialized form of one member
 // per registered family and closes the loop: IR -> canonical text ->
-// lang.ParseModel -> ToIR must reproduce the IR exactly (DeepEqual).
+// lang.ParseModel must reproduce the IR exactly (DeepEqual).
 // The committed golden files make any canonical-form drift — which
 // would silently split the icid content-addressed cache — a visible
 // diff.
@@ -62,14 +62,11 @@ func TestGoldenRoundTrip(t *testing.T) {
 			}
 
 			// Round trip through the text frontend.
-			parsed, err := lang.ParseModel(canon)
+			back, err := lang.ParseModel(canon)
 			if err != nil {
 				t.Fatalf("canonical text does not parse: %v", err)
 			}
-			back, err := parsed.ToIR(mo.Name)
-			if err != nil {
-				t.Fatalf("canonical text does not lower: %v", err)
-			}
+			back.Name = mo.Name
 			if !reflect.DeepEqual(mo, back) {
 				t.Fatal("IR -> canon -> ParseModel -> IR is not the identity")
 			}
