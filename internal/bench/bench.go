@@ -178,7 +178,7 @@ func (t Table) RunParallel(ctx context.Context, w io.Writer, budget Budget, work
 		return t.Run(ctx, w, budget)
 	}
 	results := make([]CellResult, len(t.Cells))
-	par.NewPool(workers).ForEach(len(t.Cells), func(_, i int) {
+	par.NewPool(workers).ForEach(len(t.Cells), func(i int) {
 		results[i] = RunCell(ctx, t.Cells[i], budget)
 	})
 	rw := newRowWriter(w, t.Title, t.ShowEffort)

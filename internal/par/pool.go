@@ -5,10 +5,7 @@
 // The design constraint comes from the BDD substrate: a bdd.Manager is
 // not safe for concurrent use, so parallelism in this codebase is always
 // "one Manager per task" — every bench cell and every icid job builds
-// its own. The pool exposes a stable worker identity to every task:
-// tasks that share a worker id never run concurrently, which lets
-// callers attach per-worker state (a scratch buffer) without any
-// locking.
+// its own, and tasks share no state the pool would have to guard.
 package par
 
 import (
@@ -24,26 +21,23 @@ import (
 // arrive over the channel's lifetime and each is handed to exactly one
 // worker.
 //
-// The worker argument carries the same stable-identity contract as
-// ForEach: tasks with the same worker id never run concurrently, so
-// callers may attach per-worker state without locking. Unlike ForEach,
-// Serve offers no panic collection — a panic in fn escapes on the
-// worker's goroutine and takes the process down, so a daemon must
-// recover inside fn (resource overruns inside verification runs are
-// already converted to results by bdd.Guard well below fn).
-func Serve[T any](n int, tasks <-chan T, fn func(worker int, task T)) {
+// Unlike ForEach, Serve offers no panic collection — a panic in fn
+// escapes on the worker's goroutine and takes the process down, so a
+// daemon must recover inside fn (resource overruns inside verification
+// runs are already converted to results by bdd.Guard well below fn).
+func Serve[T any](n int, tasks <-chan T, fn func(task T)) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for task := range tasks {
-				fn(w, task)
+				fn(task)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
@@ -64,15 +58,9 @@ func NewPool(n int) *Pool {
 	return &Pool{workers: n}
 }
 
-// Size returns the number of workers.
-func (p *Pool) Size() int { return p.workers }
-
-// ForEach runs fn(worker, task) for every task in [0, n), distributing
-// tasks dynamically across the pool's workers. The worker argument names
-// which of the pool's Size() workers is running the task; tasks with the
-// same worker id never run concurrently. ForEach returns only after
-// every started task has finished — it never leaves goroutines behind,
-// so per-worker state is safe to reuse or discard immediately after.
+// ForEach runs fn(task) for every task in [0, n), distributing tasks
+// dynamically across the pool's workers. ForEach returns only after
+// every started task has finished — it never leaves goroutines behind.
 //
 // When n is 0 or negative ForEach is a no-op. When the pool has a single
 // worker (or a single task), the tasks run inline on the calling
@@ -85,7 +73,7 @@ func (p *Pool) Size() int { return p.workers }
 // panics from the bdd package (*LimitError, *DeadlineError) therefore
 // propagate to the caller's bdd.Guard exactly as in sequential code, and
 // the surviving panic value is chosen stably.
-func (p *Pool) ForEach(n int, fn func(worker, task int)) {
+func (p *Pool) ForEach(n int, fn func(task int)) {
 	if n <= 0 {
 		return
 	}
@@ -95,7 +83,7 @@ func (p *Pool) ForEach(n int, fn func(worker, task int)) {
 	}
 	if workers == 1 {
 		for t := 0; t < n; t++ {
-			fn(0, t)
+			fn(t)
 		}
 		return
 	}
@@ -109,7 +97,7 @@ func (p *Pool) ForEach(n int, fn func(worker, task int)) {
 		panicTask  = -1
 		panicValue any
 	)
-	run := func(w, t int) {
+	run := func(t int) {
 		defer func() {
 			if r := recover(); r != nil {
 				abort.Store(true)
@@ -120,20 +108,20 @@ func (p *Pool) ForEach(n int, fn func(worker, task int)) {
 				mu.Unlock()
 			}
 		}()
-		fn(w, t)
+		fn(t)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for !abort.Load() {
 				t := int(next.Add(1)) - 1
 				if t >= n {
 					return
 				}
-				run(w, t)
+				run(t)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if panicTask >= 0 {

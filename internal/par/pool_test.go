@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,7 @@ func TestForEachCoversEveryTaskExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 64} {
 		const n = 257
 		var hits [n]atomic.Int32
-		NewPool(workers).ForEach(n, func(_, task int) {
+		NewPool(workers).ForEach(n, func(task int) {
 			hits[task].Add(1)
 		})
 		for i := range hits {
@@ -20,30 +21,6 @@ func TestForEachCoversEveryTaskExactlyOnce(t *testing.T) {
 				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
 			}
 		}
-	}
-}
-
-// TestForEachWorkerExclusivity is the contract the BDD layer depends on:
-// two tasks handed the same worker id must never overlap in time, since
-// the id selects a bdd.Manager that is not safe for concurrent use.
-func TestForEachWorkerExclusivity(t *testing.T) {
-	p := NewPool(4)
-	busy := make([]atomic.Bool, p.Size())
-	var violations atomic.Int32
-	p.ForEach(200, func(worker, _ int) {
-		if worker < 0 || worker >= p.Size() {
-			violations.Add(1)
-			return
-		}
-		if !busy[worker].CompareAndSwap(false, true) {
-			violations.Add(1)
-			return
-		}
-		runtime.Gosched()
-		busy[worker].Store(false)
-	})
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d worker-exclusivity violations", v)
 	}
 }
 
@@ -56,7 +33,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want boom-7", workers, r)
 				}
 			}()
-			NewPool(workers).ForEach(20, func(_, task int) {
+			NewPool(workers).ForEach(20, func(task int) {
 				if task == 7 {
 					panic("boom-7")
 				}
@@ -76,7 +53,7 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 		}
 	}()
 	// Every task panics, so task 0 always panics and must win.
-	NewPool(8).ForEach(64, func(_, task int) {
+	NewPool(8).ForEach(64, func(task int) {
 		panic(task)
 	})
 	t.Fatal("ForEach did not panic")
@@ -84,34 +61,43 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 
 func TestForEachEdgeCases(t *testing.T) {
 	ran := false
-	NewPool(2).ForEach(0, func(_, _ int) { ran = true })
-	NewPool(2).ForEach(-3, func(_, _ int) { ran = true })
+	NewPool(2).ForEach(0, func(int) { ran = true })
+	NewPool(2).ForEach(-3, func(int) { ran = true })
 	if ran {
 		t.Fatal("no-op ForEach ran a task")
 	}
-	if got := NewPool(0).Size(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("NewPool(0).Size() = %d, want GOMAXPROCS", got)
+	if got := NewPool(0).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("NewPool(0) has %d workers, want GOMAXPROCS", got)
 	}
-	if got := NewPool(-1).Size(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("NewPool(-1).Size() = %d, want GOMAXPROCS", got)
+	if got := NewPool(-1).workers; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("NewPool(-1) has %d workers, want GOMAXPROCS", got)
 	}
-	if got := NewPool(3).Size(); got != 3 {
-		t.Fatalf("NewPool(3).Size() = %d", got)
+	if got := NewPool(3).workers; got != 3 {
+		t.Fatalf("NewPool(3) has %d workers", got)
 	}
 }
 
-// TestForEachSingleTaskInline: one task runs inline even on a wide pool.
+// TestForEachSingleTaskInline: one task runs inline even on a wide
+// pool, and a one-worker pool runs its tasks inline in task order: no
+// goroutine is started.
 func TestForEachSingleTaskInline(t *testing.T) {
-	var worker int = -1
-	NewPool(16).ForEach(1, func(w, task int) { worker = w })
-	if worker != 0 {
-		t.Fatalf("single task ran on worker %d, want 0", worker)
+	before := runtime.NumGoroutine()
+	var order []int
+	inline := func(task int) {
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("task %d ran with %d goroutines, want the caller's %d", task, n, before)
+		}
+		order = append(order, task)
+	}
+	NewPool(16).ForEach(1, inline)
+	NewPool(1).ForEach(4, inline)
+	if fmt.Sprint(order) != "[0 0 1 2 3]" {
+		t.Fatalf("tasks ran in order %v, want [0 0 1 2 3]", order)
 	}
 }
 
-// Serve must hand every task to exactly one worker, honor the stable
-// worker-identity contract, and return only once the channel is closed
-// and drained.
+// Serve must hand every task to exactly one worker and return only once
+// the channel is closed and drained.
 func TestServeDrainsChannel(t *testing.T) {
 	const n = 500
 	tasks := make(chan int, 16)
@@ -124,11 +110,9 @@ func TestServeDrainsChannel(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := make(map[int]int) // task -> times run
-	perWorker := make(map[int]int)
-	Serve(4, tasks, func(w, task int) {
+	Serve(4, tasks, func(task int) {
 		mu.Lock()
 		seen[task]++
-		perWorker[w]++
 		mu.Unlock()
 	})
 	if len(seen) != n {
@@ -139,36 +123,6 @@ func TestServeDrainsChannel(t *testing.T) {
 			t.Fatalf("task %d ran %d times", task, times)
 		}
 	}
-	for w := range perWorker {
-		if w < 0 || w >= 4 {
-			t.Fatalf("worker id %d out of range", w)
-		}
-	}
-}
-
-// Per-worker state needs no locking: tasks sharing a worker id never run
-// concurrently. Each worker owns a counter slot; the slots must sum to
-// the task count (the race detector guards the contract).
-func TestServePerWorkerStateUnlocked(t *testing.T) {
-	const workers, n = 3, 300
-	tasks := make(chan int)
-	go func() {
-		for i := 0; i < n; i++ {
-			tasks <- i
-		}
-		close(tasks)
-	}()
-	counts := make([]int, workers) // written without locks, one slot per worker
-	Serve(workers, tasks, func(w, _ int) {
-		counts[w]++
-	})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("per-worker counts sum to %d, want %d", total, n)
-	}
 }
 
 // Serve with an already-closed channel returns immediately; n <= 0
@@ -178,7 +132,7 @@ func TestServeEmptyAndDefaultWidth(t *testing.T) {
 	close(empty)
 	done := make(chan struct{})
 	go func() {
-		Serve(0, empty, func(int, struct{}) { t.Error("task on empty channel") })
+		Serve(0, empty, func(struct{}) { t.Error("task on empty channel") })
 		close(done)
 	}()
 	select {
