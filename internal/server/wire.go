@@ -18,9 +18,9 @@ import (
 // textual model in the internal/lang format) or Builtin (a named
 // built-in from internal/models) selects the machine.
 type SubmitRequest struct {
-	// Model is textual model source (see internal/lang). It is parsed
-	// and canonicalized at submission, so syntax errors are rejected
-	// with 400 before the job queues.
+	// Model is textual model source (see internal/lang). It is parsed,
+	// validated and canonicalized at submission, so any model error is
+	// rejected with 400 before the job queues.
 	Model string `json:"model,omitempty"`
 
 	// Name labels the job in statuses and results. Defaults to the
