@@ -81,8 +81,10 @@ type node struct {
 	low   Ref    // else-branch (may be complemented)
 	high  Ref    // then-branch (never complemented)
 	next  int32  // unique-table bucket chain, or free-list link; -1 ends
-	refs  int32  // external reference count (GC roots)
 }
+
+// nodeBytes is the in-memory size of a node, for MemEstimate.
+const nodeBytes = 16
 
 // Stats holds operation counters for a Manager.
 //
@@ -129,10 +131,6 @@ type Manager struct {
 	// check it to invalidate themselves after node indices are reused.
 	epoch uint64
 
-	// permRoots records the Refs already registered through
-	// ProtectPermanent, making that registration idempotent per manager.
-	permRoots map[Ref]struct{}
-
 	// supportMark is Support's visited bitset, one bit per node slot;
 	// every bit is clear between calls.
 	supportMark []uint64
@@ -169,14 +167,6 @@ func NewWithSize(nodeCap int, cacheBits uint) *Manager {
 	return m
 }
 
-// SetNodeLimit bounds the number of live nodes the Manager may hold.
-// Operations that would exceed the limit panic with *LimitError (catch it
-// with Guard). A limit of 0 removes the bound.
-func (m *Manager) SetNodeLimit(n int) { m.nodeLimit = n }
-
-// NodeLimit returns the current node limit (0 = unlimited).
-func (m *Manager) NodeLimit() int { return m.nodeLimit }
-
 // NumVars returns the number of declared variables.
 func (m *Manager) NumVars() int { return len(m.varNames) }
 
@@ -199,7 +189,6 @@ func (m *Manager) Stats() Stats {
 // tables (the paper reports verifier process size, which is dominated by
 // the same structures).
 func (m *Manager) MemEstimate() int {
-	const nodeBytes = 20 // level + low + high + next + refs
 	return m.stats.PeakNodes*nodeBytes + len(m.buckets)*4 + m.cache.memBytes()
 }
 
@@ -344,20 +333,6 @@ func (m *Manager) mk(level uint32, low, high Ref) Ref {
 // enough that runaway operations abort within milliseconds of overrun.
 const deadlineStride = 1 << 14
 
-// SetDeadline makes every operation abort (with *DeadlineError, caught
-// by Guard) once the wall clock passes t. The zero time disables the
-// deadline. Unlike a caller-side timeout check between iterations, this
-// bounds a SINGLE runaway image computation — the situation behind the
-// paper's "Exceeded 40 minutes" rows.
-func (m *Manager) SetDeadline(t time.Time) {
-	m.deadline = t
-	m.deadlineCheck = 0
-}
-
-// Deadline returns the current operation deadline (the zero time when
-// none is set).
-func (m *Manager) Deadline() time.Time { return m.deadline }
-
 // DeadlineError is the panic value raised when an operation overruns the
 // Manager's deadline. It is resource.DeadlineError; errors.Is(err,
 // resource.ErrDeadline) matches it.
@@ -369,9 +344,10 @@ type DeadlineError = resource.DeadlineError
 // restore function that reinstates the previous limit, deadline, and
 // context; the run harness defers it so a budget never outlives its run.
 //
-// ApplyBudget is the single entry point through which limits, deadlines,
-// and cancellation reach the BDD layer; SetNodeLimit and SetDeadline
-// remain as low-level primitives beneath it.
+// ApplyBudget is the only way to bound a Manager: limits, deadlines, and
+// cancellation reach the BDD layer through it alone. The deadline bounds
+// a single runaway operation, not just the gaps between iterations — the
+// situation behind the paper's "Exceeded 40 minutes" rows.
 func (m *Manager) ApplyBudget(b resource.Budget) (restore func()) {
 	prevLimit, prevDeadline, prevCtx := m.nodeLimit, m.deadline, m.ctx
 	if b.NodeLimit > 0 {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConstants(t *testing.T) {
@@ -243,7 +244,7 @@ func TestQuickBooleanAlgebra(t *testing.T) {
 
 func TestNodeLimit(t *testing.T) {
 	m := newTestManager(t, 20)
-	m.SetNodeLimit(30)
+	m.nodeLimit = 30
 	err := Guard(func() {
 		acc := One
 		for i := 0; i < 20; i++ {
@@ -266,7 +267,7 @@ func TestNodeLimit(t *testing.T) {
 		t.Fatal("empty error message")
 	}
 	// Manager must remain usable after the abort.
-	m.SetNodeLimit(0)
+	m.nodeLimit = 0
 	x := m.And(m.VarRef(0), m.VarRef(1))
 	if x == Zero || x == One {
 		t.Fatal("manager unusable after limit abort")
@@ -303,6 +304,17 @@ func TestStatsAndMemEstimate(t *testing.T) {
 	}
 	if m.PeakNodes() < s.Nodes {
 		t.Fatal("peak below live count")
+	}
+}
+
+// TestMemEstimateRecordSizes: MemEstimate's per-record byte counts must
+// follow the node and cache-entry layouts.
+func TestMemEstimateRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != nodeBytes || nodeBytes != 16 {
+		t.Errorf("node is %d bytes, nodeBytes is %d, want both 16", got, nodeBytes)
+	}
+	if got := unsafe.Sizeof(cacheEntry{}); got != cacheEntryBytes {
+		t.Errorf("cacheEntry is %d bytes, cacheEntryBytes is %d", got, cacheEntryBytes)
 	}
 }
 

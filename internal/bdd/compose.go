@@ -37,16 +37,6 @@ func (s *Substitution) Set(v Var, g Ref) {
 // Pairs returns the number of mapped variables.
 func (s *Substitution) Pairs() int { return len(s.subst) }
 
-// Roots returns every replacement function currently mapped (useful for
-// protecting them across GC).
-func (s *Substitution) Roots() []Ref {
-	rs := make([]Ref, 0, len(s.subst))
-	for _, g := range s.subst {
-		rs = append(rs, g)
-	}
-	return rs
-}
-
 // Compose returns f with every mapped variable simultaneously replaced by
 // its image function.
 func (s *Substitution) Compose(f Ref) Ref {

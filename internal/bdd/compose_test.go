@@ -58,9 +58,6 @@ func TestComposeSimultaneous(t *testing.T) {
 	if s.Pairs() != 2 {
 		t.Fatalf("Pairs = %d", s.Pairs())
 	}
-	if len(s.Roots()) != 2 {
-		t.Fatalf("Roots = %v", s.Roots())
-	}
 }
 
 func TestComposeGeneralSimultaneous(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/resource"
 )
 
 // --- Bounded operations (Section V: abort on size) ----------------------
@@ -39,8 +41,8 @@ func TestAndBoundedAborts(t *testing.T) {
 		t.Fatal("AndBounded did not abort on a 1-node budget")
 	}
 	// Manager remains usable, limit restored.
-	if m.NodeLimit() != 0 {
-		t.Fatalf("node limit not restored: %d", m.NodeLimit())
+	if m.nodeLimit != 0 {
+		t.Fatalf("node limit not restored: %d", m.nodeLimit)
 	}
 	r := m.And(a, b)
 	if r == Zero || r == One {
@@ -57,12 +59,12 @@ func TestAndBoundedRespectsOuterLimit(t *testing.T) {
 		a = m.Xor(a, m.VarRef(Var(i)))
 		b = m.Xor(b, m.VarRef(Var(8+i)))
 	}
-	m.SetNodeLimit(m.NumNodes() + 2) // run-level budget nearly exhausted
+	m.nodeLimit = m.NumNodes() + 2 // run-level budget nearly exhausted
 	err := Guard(func() {
 		// A generous operation budget must NOT override the run budget.
 		m.AndBounded(a, b, 1_000_000)
 	})
-	m.SetNodeLimit(0)
+	m.nodeLimit = 0
 	if err == nil {
 		t.Fatal("outer node limit was swallowed by AndBounded")
 	}
@@ -124,7 +126,7 @@ func bddAnd(m *Manager, a, b Ref) Ref { return m.And(a, b) }
 
 func TestDeadlineAbortsLongOperation(t *testing.T) {
 	m := newTestManager(t, 40)
-	m.SetDeadline(time.Now().Add(-time.Second)) // already expired
+	restore := m.ApplyBudget(resource.Budget{Deadline: time.Now().Add(-time.Second)}) // already expired
 	err := Guard(func() {
 		acc := One
 		for i := 0; i < 40; i++ {
@@ -136,7 +138,7 @@ func TestDeadlineAbortsLongOperation(t *testing.T) {
 			f = m.Or(f, m.And(m.VarRef(Var(i)), m.VarRef(Var(i+1))))
 		}
 	})
-	m.SetDeadline(time.Time{})
+	restore()
 	if err == nil {
 		t.Skip("operation finished before the first deadline check (too few allocations)")
 	}

@@ -1,81 +1,31 @@
 package bdd
 
-// Reference counting and garbage collection.
+// Garbage collection.
 //
 // The collector runs only when explicitly invoked (typically between
 // traversal iterations), never in the middle of an operation, so
 // intermediate results of a running recursion can never be reclaimed out
-// from under it. Roots are the externally reference-counted nodes.
+// from under it. The caller names the roots on each call; the Manager
+// keeps no root set of its own.
 
-// Protect increments the external reference count of f's node and returns
-// f for convenient chaining. Constants are always live.
-func (m *Manager) Protect(f Ref) Ref {
-	if !f.IsConst() {
-		m.nodes[f.index()].refs++
-	}
-	return f
-}
-
-// ProtectPermanent marks f as a permanent GC root: the first call per
-// (Manager, Ref) increments the external reference count, repeated calls
-// are no-ops. Use it for values that must survive every collection for
-// the manager's lifetime — machine next-state functions, property BDDs —
-// where the caller re-registers the same Refs on every run: repeated
-// runs then cannot inflate the refcount without bound. Permanent roots
-// are never released (there is no matching Unprotect).
-func (m *Manager) ProtectPermanent(f Ref) Ref {
-	if f.IsConst() {
-		return f
-	}
-	if m.permRoots == nil {
-		m.permRoots = make(map[Ref]struct{})
-	}
-	if _, done := m.permRoots[f]; done {
-		return f
-	}
-	m.permRoots[f] = struct{}{}
-	m.nodes[f.index()].refs++
-	return f
-}
-
-// ExternalRefs returns f's external reference count — its strength as a
-// GC root. Constants report 0 (they are unconditionally live). Intended
-// for tests asserting Protect/Unprotect balance across runs.
-func (m *Manager) ExternalRefs(f Ref) int {
-	if f.IsConst() {
-		return 0
-	}
-	return int(m.nodes[f.index()].refs)
-}
-
-// Unprotect decrements the external reference count of f's node. It
-// panics if the count would go negative, which indicates a Protect /
-// Unprotect imbalance in the caller.
-func (m *Manager) Unprotect(f Ref) {
-	if f.IsConst() {
-		return
-	}
-	n := &m.nodes[f.index()]
-	if n.refs == 0 {
-		panic("bdd: Unprotect without matching Protect")
-	}
-	n.refs--
-}
-
-// GC reclaims every node not reachable from a protected root, returning
-// the number of nodes freed. The computed cache is cleared (an epoch
-// bump; see computedCache.clear) and the unique table rebuilt;
-// long-lived Substitution memos notice via the epoch.
-func (m *Manager) GC() int {
+// GC frees every node not reachable from roots and returns the number
+// of nodes freed. Constants are always live. Any Ref the caller still
+// means to use must be reachable from roots, so a caller that keeps
+// several problems on one Manager must pass all of their roots. None
+// does today: the commands and the benchmark build one Manager per
+// run, and difftest's shared Manager holds one problem and passes its
+// roots. The computed cache is cleared (an epoch bump; see
+// computedCache.clear) and the unique table rebuilt; long-lived
+// Substitution memos notice via the epoch.
+func (m *Manager) GC(roots ...Ref) int {
 	marked := make([]bool, len(m.nodes))
 	marked[0] = true // terminal
 
 	var stack []uint32
-	for i := 1; i < len(m.nodes); i++ {
-		n := &m.nodes[i]
-		if n.level != freeLevel && n.refs > 0 {
+	for _, r := range roots {
+		if i := r.index(); !marked[i] {
 			marked[i] = true
-			stack = append(stack, uint32(i))
+			stack = append(stack, i)
 		}
 	}
 	for len(stack) > 0 {

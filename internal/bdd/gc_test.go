@@ -10,7 +10,7 @@ func TestGCReclaimsGarbage(t *testing.T) {
 	m := newTestManager(t, n)
 	rng := rand.New(rand.NewSource(51))
 
-	keep := m.Protect(truthToBDD(m, 6, rng.Uint64()&tableMask(6)))
+	keep := truthToBDD(m, 6, rng.Uint64()&tableMask(6))
 	keepTruth := bddToTruth(m, keep, 6)
 
 	// Generate garbage.
@@ -20,7 +20,7 @@ func TestGCReclaimsGarbage(t *testing.T) {
 		m.Xor(a, b)
 	}
 	before := m.NumNodes()
-	freed := m.GC()
+	freed := m.GC(keep)
 	if freed == 0 {
 		t.Fatal("GC freed nothing despite garbage")
 	}
@@ -30,20 +30,19 @@ func TestGCReclaimsGarbage(t *testing.T) {
 	}
 	checkInv(t, m)
 
-	// The protected function must be intact and usable.
+	// The root's function must be intact and usable.
 	if got := bddToTruth(m, keep, 6); got != keepTruth {
-		t.Fatalf("protected function corrupted: %#x want %#x", got, keepTruth)
+		t.Fatalf("root function corrupted: %#x want %#x", got, keepTruth)
 	}
 
 	// Freed slots are reused and canonical refs still work.
 	again := truthToBDD(m, 6, keepTruth)
 	if again != keep {
-		t.Fatal("rebuilding protected function gave different ref")
+		t.Fatal("rebuilding root function gave different ref")
 	}
-	m.Unprotect(keep)
 	if got := m.GC(); got == 0 {
-		// keep may share nothing beyond itself; it must now be gone.
-		t.Fatal("GC after Unprotect freed nothing")
+		// With no roots, keep's nodes must now be gone.
+		t.Fatal("GC without roots freed nothing")
 	}
 	checkInv(t, m)
 }
@@ -52,44 +51,31 @@ func TestGCKeepsReachableSubgraphs(t *testing.T) {
 	m := newTestManager(t, 6)
 	x, y, z := m.VarRef(0), m.VarRef(1), m.VarRef(2)
 	inner := m.Xor(y, z)
-	outer := m.Protect(m.And(x, inner))
-	// inner is unprotected but reachable from outer, so it survives GC.
+	outer := m.And(x, inner)
+	// inner is not a root but is reachable from outer, so it survives GC.
 	// The standalone variable nodes y and z are NOT reachable from outer
 	// (outer's graph contains y- and z-labelled nodes with different
 	// children), so those Refs dangle after GC — re-acquire them.
-	m.GC()
+	m.GC(outer)
 	checkInv(t, m)
 	y2, z2 := m.VarRef(1), m.VarRef(2)
 	if m.Xor(y2, z2) != inner {
 		t.Fatal("reachable subgraph was collected or rebuilt differently")
 	}
-	m.Unprotect(outer)
 }
 
-func TestUnprotectImbalancePanics(t *testing.T) {
-	m := newTestManager(t, 2)
-	f := m.And(m.VarRef(0), m.VarRef(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unprotect without Protect did not panic")
-		}
-	}()
-	m.Unprotect(f)
-}
-
+// TestProtectConstantsNoop: constants passed as roots keep nothing
+// alive, and a collection from them alone leaves only the terminal.
 func TestProtectConstantsNoop(t *testing.T) {
 	m := newTestManager(t, 2)
-	m.Protect(One)
-	m.Unprotect(One)
-	m.Protect(Zero)
-	m.Unprotect(Zero)
-	m.GC()
-	if m.NumNodes() != 3 { // terminal + two variable nodes? none built yet
-		// Only the terminal exists plus nothing else; NumNodes is 1.
-		if m.NumNodes() != 1 {
-			t.Fatalf("NumNodes = %d after constant-only protect cycle", m.NumNodes())
-		}
+	m.And(m.VarRef(0), m.VarRef(1))
+	if freed := m.GC(One, Zero); freed != 3 {
+		t.Fatalf("GC(One, Zero) freed %d nodes, want 3", freed)
 	}
+	if m.NumNodes() != 1 {
+		t.Fatalf("NumNodes = %d after collecting from constant roots", m.NumNodes())
+	}
+	checkInv(t, m)
 }
 
 func TestGCInvalidatesCachesCorrectly(t *testing.T) {
@@ -102,7 +88,7 @@ func TestGCInvalidatesCachesCorrectly(t *testing.T) {
 	truths := make([]uint64, 0, 8)
 	for i := 0; i < 8; i++ {
 		tbl := rng.Uint64() & tableMask(n)
-		r := m.Protect(truthToBDD(m, n, tbl))
+		r := truthToBDD(m, n, tbl)
 		roots = append(roots, r)
 		truths = append(truths, tbl)
 	}
@@ -110,7 +96,7 @@ func TestGCInvalidatesCachesCorrectly(t *testing.T) {
 		a := roots[rng.Intn(len(roots))]
 		b := roots[rng.Intn(len(roots))]
 		m.And(a, b) // garbage
-		m.GC()
+		m.GC(roots...)
 		for i, r := range roots {
 			if got := bddToTruth(m, r, n); got != truths[i] {
 				t.Fatalf("root %d corrupted after GC round %d", i, iter)
@@ -137,21 +123,21 @@ func TestSubstitutionEpochInvalidation(t *testing.T) {
 	m := newTestManager(t, n)
 	rng := rand.New(rand.NewSource(53))
 
-	g := m.Protect(truthToBDD(m, n, rng.Uint64()&tableMask(n)))
+	g := truthToBDD(m, n, rng.Uint64()&tableMask(n))
 	s := m.NewSubstitution()
 	s.Set(1, g)
 
-	f1 := m.Protect(truthToBDD(m, n, rng.Uint64()&tableMask(n)))
-	r1 := m.Protect(s.Compose(f1))
+	f1 := truthToBDD(m, n, rng.Uint64()&tableMask(n))
+	r1 := s.Compose(f1)
 	want1 := bddToTruth(m, r1, n)
 
 	// Create garbage, collect, then reuse the substitution.
 	for i := 0; i < 30; i++ {
 		m.Xor(truthToBDD(m, n, rng.Uint64()&tableMask(n)), f1)
 	}
-	m.GC()
+	m.GC(g, f1, r1)
 
-	f2 := m.Protect(truthToBDD(m, n, rng.Uint64()&tableMask(n)))
+	f2 := truthToBDD(m, n, rng.Uint64()&tableMask(n))
 	r2 := s.Compose(f2)
 	// Reference computation with a fresh substitution.
 	s2 := m.NewSubstitution()

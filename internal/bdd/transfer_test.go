@@ -3,7 +3,6 @@ package bdd
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestTransferIdentity(t *testing.T) {
@@ -239,23 +238,6 @@ func TestTransferMemoReuse(t *testing.T) {
 		if back := Transfer(m, w, got, nil); back != f {
 			t.Fatalf("transfer %d: round trip moved Ref", i)
 		}
-	}
-}
-
-// TestDeadlineGetter: the zero value round-trips too.
-func TestDeadlineGetter(t *testing.T) {
-	m := newTestManager(t, 2)
-	if !m.Deadline().IsZero() {
-		t.Fatal("fresh manager has a deadline")
-	}
-	dl := time.Now().Add(time.Minute)
-	m.SetDeadline(dl)
-	if !m.Deadline().Equal(dl) {
-		t.Fatal("Deadline getter does not round-trip")
-	}
-	m.SetDeadline(time.Time{})
-	if !m.Deadline().IsZero() {
-		t.Fatal("deadline not cleared")
 	}
 }
 

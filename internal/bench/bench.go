@@ -24,10 +24,11 @@ import (
 )
 
 // Budget is the per-cell resource bound — the unified resource.Budget.
-// The grids set NodeLimit (at ~20 bytes per node, 3M nodes is the analog
-// of the paper's 60MB ceiling) and Timeout (the paper's 40 minutes,
-// scaled to modern hardware); the runners thread the caller's context
-// through it so every cell is individually cancelable.
+// The grids set NodeLimit (at 16 bytes per node record, 3M nodes ≈ 48MB
+// of node storage is the analog of the paper's 60MB ceiling) and Timeout
+// (the paper's 40 minutes, scaled to modern hardware); the runners
+// thread the caller's context through it so every cell is individually
+// cancelable.
 type Budget = resource.Budget
 
 // DefaultBudget is the budget used by cmd/icibench.

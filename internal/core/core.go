@@ -149,20 +149,6 @@ func (l List) Eval(assignment []bool) bool {
 	return true
 }
 
-// Protect reference-counts every conjunct against garbage collection.
-func (l List) Protect() {
-	for _, c := range l.Conjuncts {
-		l.M.Protect(c)
-	}
-}
-
-// Unprotect releases the references taken by Protect.
-func (l List) Unprotect() {
-	for _, c := range l.Conjuncts {
-		l.M.Unprotect(c)
-	}
-}
-
 // String renders the size profile of the list, mirroring the paper's
 // "(i × j nodes)" table annotations.
 func (l List) String() string {

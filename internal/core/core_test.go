@@ -155,15 +155,3 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone aliases the original slice")
 	}
 }
-
-func TestProtectUnprotect(t *testing.T) {
-	m := newM(t)
-	l := NewList(m, m.And(m.VarRef(0), m.VarRef(1)), m.Xor(m.VarRef(2), m.VarRef(3)))
-	l.Protect()
-	m.GC()
-	// Conjuncts must survive and still be canonical.
-	if m.And(m.VarRef(0), m.VarRef(1)) != l.Conjuncts[0] {
-		t.Fatal("protected conjunct lost in GC")
-	}
-	l.Unprotect()
-}

@@ -145,12 +145,11 @@ func CrossSimplifyPositional(m *bdd.Manager, cs []bdd.Ref, simp bdd.Simplifier) 
 // the pair of conjuncts whose explicit conjunction gives the best
 // size ratio, until the best remaining ratio exceeds GrowThreshold.
 //
-// The implementation maintains the best pair incrementally: an indexed
-// pair table plus a min-heap keyed on (ratio, i, j), so each merge
-// invalidates and rescores only the one affected row instead of
-// rescanning the full O(n²) table. Candidate selection breaks ties on
-// the smallest (i, j), which makes the result deterministic and equal to
-// the historical full-rescan loop (kept in the tests as
+// The implementation keeps P_ij and its ratio in an indexed pair table,
+// so each merge rebuilds only the one affected row instead of every
+// conjunction; a scan of the ratios picks each round's winner. Ties go
+// to the smallest (i, j), which makes the result deterministic and
+// equal to the historical full-rescan loop (kept in the tests as
 // evaluateGreedyRescan for crosschecks and benchmarks).
 func EvaluateGreedy(l List, opt Options) List {
 	m := l.M

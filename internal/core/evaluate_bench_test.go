@@ -45,8 +45,8 @@ func benchList(n int) (*bdd.Manager, List) {
 
 // BenchmarkEvaluatePolicy compares the two implementations of the
 // Figure 1 greedy evaluation on the same list: the seed's full-rescan
-// loop (kept as the reference) and the incremental heap-driven loop. A
-// fresh Manager per iteration keeps
+// loop (kept as the reference) and the indexed table that rebuilds one
+// row per merge. A fresh Manager per iteration keeps
 // the computed-cache state identical across variants — otherwise the
 // first variant to run would warm the And memo for the rest.
 func BenchmarkEvaluatePolicy(b *testing.B) {
@@ -67,7 +67,7 @@ func BenchmarkEvaluatePolicy(b *testing.B) {
 		run(prefix+"rescan", func(l List) List {
 			return evaluateGreedyRescan(l, Options{})
 		})
-		run(prefix+"heap", func(l List) List {
+		run(prefix+"table", func(l List) List {
 			return EvaluateGreedy(l, Options{})
 		})
 	}

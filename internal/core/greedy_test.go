@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bdd"
+	"repro/internal/resource"
 )
 
 // optionsMatrix is the greedy-relevant slice of the option space.
@@ -31,7 +32,7 @@ func refsEqual(a, b List) bool {
 	return true
 }
 
-// TestEvaluateGreedyMatchesRescan: the incremental (heap) path must be
+// TestEvaluateGreedyMatchesRescan: the indexed table path must be
 // Ref-for-Ref identical to the seed's full-rescan loop, including under
 // the pair budget (same manager, same operation order, same bounded-And
 // allocation behaviour).
@@ -44,7 +45,7 @@ func TestEvaluateGreedyMatchesRescan(t *testing.T) {
 			want := evaluateGreedyRescan(l, opt)
 			got := EvaluateGreedy(l, opt)
 			if !refsEqual(got, want) {
-				t.Fatalf("iter %d opts[%d]: heap %v != rescan %v", iter, oi, got.Conjuncts, want.Conjuncts)
+				t.Fatalf("iter %d opts[%d]: table %v != rescan %v", iter, oi, got.Conjuncts, want.Conjuncts)
 			}
 		}
 	}
@@ -98,7 +99,7 @@ func TestGreedyNeverRescoresDeadIndices(t *testing.T) {
 // guarded ratio denominator: a list built directly — bypassing the
 // constant-stripping of NewList/Normalize — may carry One (or Zero, or
 // duplicated constant) conjuncts into the scorers. The ratio must stay
-// finite (no NaN/Inf from a degenerate BDDSize(X_i, X_j)), the heap path
+// finite (no NaN/Inf from a degenerate BDDSize(X_i, X_j)), the table path
 // and the rescan reference must remain Ref-identical, and the
 // represented conjunction must be preserved.
 func TestEvaluateGreedyConstantConjuncts(t *testing.T) {
@@ -122,11 +123,11 @@ func TestEvaluateGreedyConstantConjuncts(t *testing.T) {
 		want := l.M.AndN(l.Conjuncts...)
 		for oi, opt := range greedyOptionsMatrix() {
 			rescan := evaluateGreedyRescan(l, opt)
-			heap := EvaluateGreedy(l, opt)
-			if !refsEqual(heap, rescan) {
-				t.Fatalf("list %d opts[%d]: heap %v != rescan %v", li, oi, heap.Conjuncts, rescan.Conjuncts)
+			table := EvaluateGreedy(l, opt)
+			if !refsEqual(table, rescan) {
+				t.Fatalf("list %d opts[%d]: table %v != rescan %v", li, oi, table.Conjuncts, rescan.Conjuncts)
 			}
-			if got := heap.Explicit(); got != want {
+			if got := table.Explicit(); got != want {
 				t.Fatalf("list %d opts[%d]: semantics changed", li, oi)
 			}
 		}
@@ -202,8 +203,7 @@ func TestEvaluateGreedyGuardsLimit(t *testing.T) {
 	l := NewList(m, cs...)
 	// Leave room for a few fresh nodes only: the pair conjunctions of
 	// dense functions need far more.
-	m.SetNodeLimit(m.NumNodes() + 16)
-	defer m.SetNodeLimit(0)
+	defer m.ApplyBudget(resource.Budget{NodeLimit: m.NumNodes() + 16})()
 	err := bdd.Guard(func() {
 		EvaluateGreedy(l, Options{})
 	})

@@ -9,7 +9,7 @@ import (
 // evaluateGreedyRescan is the original (seed) implementation of Figure 1:
 // a full O(n²) rescan of the pair table per merge, with an O(|table|)
 // map walk to invalidate stale rows. It is retained verbatim as the
-// reference implementation — tests assert that the incremental heap path
+// reference implementation — tests assert that the indexed table path
 // reproduces its output Ref-for-Ref, and BenchmarkEvaluatePolicy
 // measures it against that path.
 func evaluateGreedyRescan(l List, opt Options) List {

@@ -192,18 +192,11 @@ func RunInstance(inst Instance, cfg Config) Report {
 	// Every spec runs on the instance's one manager, so an engine that
 	// aborts at its node limit would otherwise leave its abandoned
 	// intermediates counted against the next engine's budget — the next
-	// capped spec would exhaust instantly on inherited garbage. Pin the
-	// problem's structure as permanent roots (idempotent) and collect
-	// between runs.
+	// capped spec would exhaust instantly on inherited garbage. Collect
+	// between runs, keeping only the problem's roots: the manager holds
+	// no other problem.
 	m := inst.Problem.Machine.M
-	inst.Problem.Machine.Protect()
-	m.ProtectPermanent(inst.Problem.Good)
-	for _, g := range inst.Problem.GoodList {
-		m.ProtectPermanent(g)
-	}
-	for _, d := range inst.Problem.Deps {
-		m.ProtectPermanent(d.Def)
-	}
+	roots := inst.Problem.Roots()
 
 	rep := Report{Params: inst.Params}
 	ov := Oracle(inst, cfg.OracleStateBits, cfg.OracleInputBits)
@@ -222,7 +215,7 @@ func RunInstance(inst Instance, cfg Config) Report {
 	}
 
 	for _, spec := range specs {
-		m.GC()
+		m.GC(roots...)
 		opt := verify.Options{
 			WantTrace: true,
 			Budget: resource.Budget{

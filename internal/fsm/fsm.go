@@ -296,33 +296,26 @@ func (ma *Machine) MustSeal() {
 	}
 }
 
-// Protect registers every function the machine owns as a permanent GC
-// root, so caller GCs between traversal iterations cannot reclaim them.
-// Registration is idempotent per manager (bdd.ProtectPermanent): calling
-// Protect before every GC-enabled run — as the verify harness does —
-// does not inflate refcounts, and a re-call after sealing picks up the
-// partition functions built by Seal.
-func (ma *Machine) Protect() {
-	m := ma.M
-	m.ProtectPermanent(ma.init)
-	m.ProtectPermanent(ma.constraint)
+// Roots returns every function the machine owns: the initial set, the
+// input constraint, the next-state functions and, once sealed, the
+// cubes and transition parts Seal built. A caller that collects the
+// manager while it still needs the machine passes these to bdd.GC
+// along with its own roots.
+func (ma *Machine) Roots() []bdd.Ref {
+	roots := []bdd.Ref{ma.init, ma.constraint}
 	for _, f := range ma.nextFn {
-		m.ProtectPermanent(f)
+		roots = append(roots, f)
 	}
 	if ma.sealed {
-		m.ProtectPermanent(ma.inputCube)
-		m.ProtectPermanent(ma.curCube)
-		m.ProtectPermanent(ma.seedQuant)
-		m.ProtectPermanent(ma.preSeedQuant)
+		roots = append(roots, ma.inputCube, ma.curCube, ma.seedQuant, ma.preSeedQuant)
 		for _, p := range ma.transition {
-			m.ProtectPermanent(p.rel)
-			m.ProtectPermanent(p.quant)
+			roots = append(roots, p.rel, p.quant)
 		}
 		for _, p := range ma.preTransition {
-			m.ProtectPermanent(p.rel)
-			m.ProtectPermanent(p.quant)
+			roots = append(roots, p.rel, p.quant)
 		}
 	}
+	return roots
 }
 
 // buildPartition constructs the conjunctively partitioned transition

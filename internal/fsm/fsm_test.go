@@ -323,13 +323,14 @@ func TestUnsealedUsePanics(t *testing.T) {
 func TestProtectSurvivesGC(t *testing.T) {
 	ma, bits, _ := buildCounter(t, 4)
 	m := ma.M
-	ma.Protect()
-	// Make garbage, then collect.
+	// Make garbage, then collect from the machine's roots alone.
 	r := stateSetOf(m, bits, 1, 5, 9)
 	for i := 0; i < 5; i++ {
 		r = ma.Image(r)
 	}
-	m.GC()
+	if m.GC(ma.Roots()...) == 0 {
+		t.Fatal("GC freed nothing despite garbage")
+	}
 	// Machine still functions correctly after GC.
 	if got := ma.Image(stateSetOf(m, bits, 2)); got != stateSetOf(m, bits, 2, 3) {
 		t.Fatal("machine broken after GC")

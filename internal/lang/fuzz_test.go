@@ -39,7 +39,7 @@ func FuzzParseModel(f *testing.F) {
 			t.Fatalf("Canon is not a fixed point\nfirst:\n%s\nsecond:\n%s", canon, again)
 		}
 		m := bdd.New()
-		m.SetNodeLimit(fuzzNodeLimit)
+		m.ApplyBudget(resource.Budget{NodeLimit: fuzzNodeLimit})
 		var perr error
 		err = bdd.Guard(func() { _, perr = Parse(m, src, "fuzz") })
 		if err != nil && !errors.Is(err, resource.ErrNodeLimit) {

@@ -8,16 +8,16 @@ import (
 	"repro/internal/resource"
 )
 
-// runCtx is the harness state shared with a running engine: GC root
-// bookkeeping, the resolved resource budget, and the progress sink —
+// runCtx is the harness state shared with a running engine: the GC
+// root list, the resolved resource budget, and the progress sink —
 // iterations completed and the peak iterate statistics — that the
 // harness reads back when the run aborts mid-operation, so Exhausted
 // results report how far the run got (the partial numbers behind the
 // paper's "Exceeded 60MB" rows).
 //
-// Engines report progress through Tick and Observe and register
-// GC-surviving values through Protect; the harness owns creation,
-// release, and Result finalization.
+// Engines report progress through Tick and Observe and name the values
+// a collection must keep through Protect; the harness owns creation
+// and Result finalization.
 type runCtx struct {
 	m       *bdd.Manager
 	opt     Options
@@ -40,44 +40,21 @@ type runCtx struct {
 }
 
 func newCtx(p Problem, opt Options, b resource.Budget) *runCtx {
-	ma := p.Machine
-	c := &runCtx{m: ma.M, opt: opt, budget: b, maxIter: b.MaxIter(defaultMaxIter)}
+	c := &runCtx{m: p.Machine.M, opt: opt, budget: b, maxIter: b.MaxIter(defaultMaxIter)}
 	if opt.GCEvery > 0 {
-		// The machine's functions and the problem's property/dependency
-		// BDDs must survive every collection — including collections in
-		// LATER runs on the same manager, since the caller still holds
-		// these Refs. They become permanent roots once GC is in play;
-		// registration is idempotent (bdd.ProtectPermanent), so running
-		// the same problem repeatedly with GCEvery > 0 cannot inflate
-		// the refcounts.
-		ma.Protect()
-		c.m.ProtectPermanent(p.Good)
-		for _, g := range p.GoodList {
-			c.m.ProtectPermanent(g)
-		}
-		for _, d := range p.Deps {
-			c.m.ProtectPermanent(d.Def)
-		}
+		c.roots = p.Roots()
 	}
 	return c
 }
 
-// Protect registers a root (no-op when GC is disabled) and returns it.
+// Protect adds r to the run's GC roots (when GC is enabled) and returns
+// it. The list starts with the problem's roots and lives as long as the
+// run, so a value stays live from its registration to the run's end.
 func (c *runCtx) Protect(r bdd.Ref) bdd.Ref {
 	if c.opt.GCEvery > 0 {
-		c.m.Protect(r)
 		c.roots = append(c.roots, r)
 	}
 	return r
-}
-
-// release drops all roots registered so far (called by the harness when
-// the run ends).
-func (c *runCtx) release() {
-	for _, r := range c.roots {
-		c.m.Unprotect(r)
-	}
-	c.roots = c.roots[:0]
 }
 
 // MaybeGC runs a collection at the configured cadence. GC time is
@@ -85,7 +62,7 @@ func (c *runCtx) release() {
 func (c *runCtx) MaybeGC(iteration int) {
 	if c.opt.GCEvery > 0 && iteration > 0 && iteration%c.opt.GCEvery == 0 {
 		stop := c.Phase(PhaseGC)
-		c.m.GC()
+		c.m.GC(c.roots...)
 		stop()
 	}
 }

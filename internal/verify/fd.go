@@ -81,7 +81,9 @@ func runFD(c *runCtx, p Problem, opt Options) Result {
 	}
 
 	red := buildReducedImage(ma, sigma, indep)
+	// red.image reads every one of these after each collection.
 	c.Protect(red.constraint)
+	c.Protect(red.seedQuant)
 	for _, part := range red.parts {
 		c.Protect(part.rel)
 		c.Protect(part.quant)

@@ -16,7 +16,7 @@ func runForward(c *runCtx, p Problem, opt Options) Result {
 
 	good := c.Protect(p.good())
 
-	r := c.Protect(ma.Init())
+	r := ma.Init()
 	rings := []bdd.Ref{r}
 	c.Observe(m.Size(r), nil)
 

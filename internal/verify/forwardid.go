@@ -23,13 +23,10 @@ func runForwardID(c *runCtx, p Problem, opt Options) Result {
 	m := ma.M
 
 	goods := p.goodList()
-	for _, g := range goods {
-		c.Protect(g)
-	}
 	term := c.Termination()
 	copt := c.CoreOptions()
 
-	r := []bdd.Ref{c.Protect(ma.Init())}
+	r := []bdd.Ref{ma.Init()}
 	rings := [][]bdd.Ref{r}
 	c.Observe(listStats(m, r))
 

@@ -25,9 +25,6 @@ func runICI(c *runCtx, p Problem, opt Options) Result {
 	init := ma.Init()
 
 	g0 := append([]bdd.Ref(nil), p.goodList()...)
-	for _, cj := range g0 {
-		c.Protect(cj)
-	}
 	g := append([]bdd.Ref(nil), g0...)
 
 	layers := []core.List{{M: m, Conjuncts: append([]bdd.Ref(nil), g...)}}

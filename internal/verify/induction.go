@@ -27,9 +27,6 @@ func runInduction(c *runCtx, p Problem, opt Options) Result {
 	m := ma.M
 
 	goods := p.goodList()
-	for _, g := range goods {
-		c.Protect(g)
-	}
 	init := ma.Init()
 
 	// Base case.

@@ -52,10 +52,6 @@ func runPDR(c *runCtx, p Problem, opt Options) Result {
 
 	init := ma.Init()
 	goods := p.goodList()
-	c.Protect(init)
-	for _, g := range goods {
-		c.Protect(g)
-	}
 
 	// Depth 0: an initial state may already violate the property.
 	if s := pdrBadIn(m, init, goods); s != nil {

@@ -1,7 +1,6 @@
 // Observability-layer tests: Result stats plumbing, the Observer event
-// stream, per-phase timers, and the idempotent GC-root protection. In
-// package verify_test because they build problems with internal/models,
-// which imports verify.
+// stream, and per-phase timers. In package verify_test because they
+// build problems with internal/models, which imports verify.
 package verify_test
 
 import (
@@ -199,48 +198,5 @@ func TestTermSkipStep3Exact(t *testing.T) {
 	}
 	if skip.Term.StepResolved[1] != 0 {
 		t.Errorf("step-3 bucket nonzero with SkipStep3: %+v", skip.Term)
-	}
-}
-
-// TestGCProtectIdempotentAcrossRuns is the regression test for the
-// unbounded-refcount bug: re-running the same problem with GCEvery > 0
-// on one manager used to re-Protect the machine and property Refs each
-// time, inflating their counts without bound. Permanent protection is
-// now idempotent per manager, so a second (and k-th) run must leave the
-// refcounts exactly where the first run left them.
-func TestGCProtectIdempotentAcrossRuns(t *testing.T) {
-	m := bdd.New()
-	p := models.BuildFIFO(models.DefaultFIFO(2)).MustInstantiate(m)
-	opt := verify.Options{GCEvery: 1}
-
-	refs := func() map[bdd.Ref]int {
-		out := make(map[bdd.Ref]int)
-		out[p.Good] = m.ExternalRefs(p.Good)
-		for _, g := range p.GoodList {
-			out[g] = m.ExternalRefs(g)
-		}
-		out[p.Machine.Init()] = m.ExternalRefs(p.Machine.Init())
-		return out
-	}
-
-	first := verify.Run(p, verify.XICI, opt)
-	if first.Outcome != verify.Verified {
-		t.Fatalf("outcome %v: %s", first.Outcome, first.Why)
-	}
-	after1 := refs()
-
-	for run := 2; run <= 4; run++ {
-		res := verify.Run(p, verify.XICI, opt)
-		if res.Outcome != first.Outcome || res.Iterations != first.Iterations {
-			t.Fatalf("run %d diverged: %+v vs %+v", run, res, first)
-		}
-		for r, n := range refs() {
-			if n != after1[r] {
-				t.Fatalf("run %d: refcount of %v grew from %d to %d", run, r, after1[r], n)
-			}
-		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -118,6 +118,18 @@ func (p Problem) goodList() []bdd.Ref {
 	return []bdd.Ref{p.Good}
 }
 
+// Roots returns the problem's BDDs — the machine's functions, the
+// property in both forms, and the dependency definitions — which every
+// collection on the problem's manager must keep.
+func (p Problem) Roots() []bdd.Ref {
+	roots := append(p.Machine.Roots(), p.Good)
+	roots = append(roots, p.GoodList...)
+	for _, d := range p.Deps {
+		roots = append(roots, d.Def)
+	}
+	return roots
+}
+
 // Options configures an engine run.
 type Options struct {
 	// Budget is the run's complete resource bound: node limit ("Exceeded
@@ -149,7 +161,10 @@ type Options struct {
 	WantTrace bool
 
 	// GCEvery triggers a garbage collection every n iterations
-	// (0 = never). Live iterates are protected automatically.
+	// (0 = never). Each collection keeps the problem's roots and the
+	// values the engine has registered during the run; the run frees
+	// whatever else the manager holds, so a caller sharing the manager
+	// with another problem must not enable it.
 	GCEvery int
 
 	// Observer, when non-nil, receives progress events as the run
@@ -333,7 +348,6 @@ func RunContext(ctx context.Context, p Problem, method Method, opt Options) Resu
 		opt.Observer = func(e Event) { e.Method = string(method); observe(e) }
 	}
 	c := newCtx(p, opt, b)
-	defer c.release()
 
 	var res Result
 	if err := b.Err(); err != nil {

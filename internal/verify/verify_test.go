@@ -196,25 +196,6 @@ func TestIterationBoundExhaustion(t *testing.T) {
 	}
 }
 
-func TestGCDuringTraversal(t *testing.T) {
-	p, _ := tinyFIFO(t, 3, 4, 5, false)
-	for _, method := range []Method{Forward, Backward, ICI, XICI} {
-		res := Run(p, method, Options{GCEvery: 1})
-		if res.Outcome != Verified {
-			t.Fatalf("%s with GC: outcome %v (%s)", method, res.Outcome, res.Why)
-		}
-	}
-	// And with a violation + trace, which must survive collections too.
-	pb, ma := tinyFIFO(t, 3, 3, 5, true)
-	res := Run(pb, XICI, Options{GCEvery: 1, WantTrace: true})
-	if res.Outcome != Violated || res.Trace == nil {
-		t.Fatalf("XICI with GC on bug: %v", res.Outcome)
-	}
-	if err := res.Trace.Validate(ma, pb.goodList()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReachableStates(t *testing.T) {
 	p, ma := tinyFIFO(t, 2, 2, 2, false)
 	reach, iters, err := ReachableStates(p, Options{})
@@ -296,7 +277,6 @@ func TestCtxTerminationWiring(t *testing.T) {
 		Core:          core.Options{Simplifier: bdd.UseConstrain},
 	}
 	c := newCtx(p, opt, resource.Budget{}.Norm().Start(time.Now()))
-	defer c.release()
 	term := c.Termination()
 	if term.M != p.Machine.M {
 		t.Error("Termination not bound to the problem's manager")

@@ -31,9 +31,6 @@ func runXICI(c *runCtx, p Problem, opt Options) Result {
 	copt := c.CoreOptions()
 
 	g0 := append([]bdd.Ref(nil), p.goodList()...)
-	for _, cj := range g0 {
-		c.Protect(cj)
-	}
 
 	stop := c.Phase(PhasePolicy)
 	g := core.SimplifyAndEvaluate(core.NewList(m, g0...), copt)
