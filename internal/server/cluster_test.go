@@ -226,18 +226,22 @@ func TestClusterOwnerDownFallsBackLocally(t *testing.T) {
 	})
 	base := "http://" + live.Addr().String()
 
-	// Find a model the dead peer owns (vary a parameter until routing
+	// Find a model the dead peer owns (vary the model until routing
 	// picks it; peers start optimistically alive so the first such
-	// submission attempts the forward and falls back).
+	// submission attempts the forward and falls back). The routing key
+	// is the canonical model text, so each probe adds a differently
+	// named idle bit: three counter widths alone gave only three keys,
+	// and the ring put all three on self in about one run in eight.
 	var model string
 	for bits := 2; bits < 64; bits++ {
-		cp := SubmitRequest{Model: counterModel(bits%3 + 2), Name: fmt.Sprintf("m%d", bits)}
+		probe := counterModel(bits%3+2) + fmt.Sprintf("(state pad%d :init 0 :next pad%d)\n", bits, bits)
+		cp := SubmitRequest{Model: probe, Name: fmt.Sprintf("m%d", bits)}
 		id, err := normalizeModel(&cp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if owner, self := cl.OwnerOf(id); owner == deadAddr && !self {
-			model = counterModel(bits%3 + 2)
+			model = probe
 			break
 		}
 	}

@@ -99,6 +99,23 @@ func TestPDRFramePolicyAblation(t *testing.T) {
 	}
 }
 
+// TestPDRWithGC: frames and learned clauses must be protected across
+// collections; a per-level GC cadence changes nothing.
+func TestPDRWithGC(t *testing.T) {
+	p, _ := tinyFIFO(t, 3, 3, 5, false)
+	if res := Run(p, PDR, Options{GCEvery: 1}); res.Outcome != Verified {
+		t.Fatalf("PDR with GC: %v (%s)", res.Outcome, res.Why)
+	}
+	pb, ma := tinyFIFO(t, 3, 3, 5, true)
+	res := Run(pb, PDR, Options{GCEvery: 1, WantTrace: true})
+	if res.Outcome != Violated || res.Trace == nil {
+		t.Fatalf("PDR with GC on bug: %v", res.Outcome)
+	}
+	if err := res.Trace.Validate(ma, pb.goodList()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResolveMethodNames: the case-insensitive lookup behind every
 // -engines / -method flag and the icid engine option.
 func TestResolveMethodNames(t *testing.T) {
