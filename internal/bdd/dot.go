@@ -16,16 +16,18 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 	b.WriteString("digraph bdd {\n")
 	b.WriteString("  rankdir=TB;\n")
 
-	// Collect reachable nodes grouped by level for rank constraints.
-	seen := make(map[uint32]struct{})
+	// Number the reachable nodes in first-visit order from the roots,
+	// so the text depends only on the functions and the variable order,
+	// not on where the manager allocated each node.
+	id := make(map[uint32]int)
 	var order []uint32
 	var walk func(r Ref)
 	walk = func(r Ref) {
 		idx := r.index()
-		if _, ok := seen[idx]; ok {
+		if _, ok := id[idx]; ok {
 			return
 		}
-		seen[idx] = struct{}{}
+		id[idx] = len(order)
 		order = append(order, idx)
 		n := &m.nodes[idx]
 		if n.level == terminalLevel {
@@ -37,17 +39,16 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 	for _, r := range roots {
 		walk(r)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
 	byLevel := make(map[uint32][]uint32)
 	for _, idx := range order {
 		n := &m.nodes[idx]
 		if n.level == terminalLevel {
-			fmt.Fprintf(&b, "  n%d [shape=box,label=\"1\"];\n", idx)
+			fmt.Fprintf(&b, "  n%d [shape=box,label=\"1\"];\n", id[idx])
 			continue
 		}
 		byLevel[n.level] = append(byLevel[n.level], idx)
-		fmt.Fprintf(&b, "  n%d [shape=circle,label=\"%s\"];\n", idx, m.VarName(Var(n.level)))
+		fmt.Fprintf(&b, "  n%d [shape=circle,label=\"%s\"];\n", id[idx], m.VarName(Var(n.level)))
 	}
 
 	levels := make([]uint32, 0, len(byLevel))
@@ -58,7 +59,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 	for _, l := range levels {
 		b.WriteString("  { rank=same;")
 		for _, idx := range byLevel[l] {
-			fmt.Fprintf(&b, " n%d;", idx)
+			fmt.Fprintf(&b, " n%d;", id[idx])
 		}
 		b.WriteString(" }\n")
 	}
@@ -68,7 +69,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 		if to.complement() {
 			extra = ",arrowhead=odot"
 		}
-		fmt.Fprintf(&b, "  n%d -> n%d [style=%s%s];\n", from, to.index(), style, extra)
+		fmt.Fprintf(&b, "  n%d -> n%d [style=%s%s];\n", id[from], id[to.index()], style, extra)
 	}
 	for _, idx := range order {
 		n := &m.nodes[idx]
@@ -85,7 +86,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 		if r.complement() {
 			extra = ",arrowhead=odot"
 		}
-		fmt.Fprintf(&b, "  root%d -> n%d [style=bold%s];\n", i, r.index(), extra)
+		fmt.Fprintf(&b, "  root%d -> n%d [style=bold%s];\n", i, id[r.index()], extra)
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

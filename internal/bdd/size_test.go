@@ -171,6 +171,25 @@ func TestWriteDOT(t *testing.T) {
 			t.Fatalf("DOT output missing %q:\n%s", want, out)
 		}
 	}
+
+	// The text is canonical: one function built after different
+	// operation histories, on two managers with the same variables,
+	// renders byte for byte the same.
+	dot := func(m *Manager, f Ref) string {
+		var b strings.Builder
+		if err := m.WriteDOT(&b, f); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	m1 := newTestManager(t, 4)
+	g1 := m1.Xor(m1.And(m1.VarRef(0), m1.VarRef(1)), m1.Or(m1.VarRef(2), m1.VarRef(3)))
+	m2 := newTestManager(t, 4)
+	m2.And(m2.VarRef(1), m2.VarRef(3).Not()) // garbage allocated first
+	g2 := m2.Xor(m2.Or(m2.VarRef(3), m2.VarRef(2)), m2.And(m2.VarRef(1), m2.VarRef(0)))
+	if d1, d2 := dot(m1, g1), dot(m2, g2); d1 != d2 {
+		t.Fatalf("same function, different DOT text:\n%s\nvs\n%s", d1, d2)
+	}
 }
 
 func TestStringRendering(t *testing.T) {
