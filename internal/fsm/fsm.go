@@ -138,15 +138,6 @@ func (ma *Machine) NewInputBit(name string) bdd.Var {
 	return v
 }
 
-// NewInputBits declares n input bits named prefix0..prefix(n-1).
-func (ma *Machine) NewInputBits(prefix string, n int) []bdd.Var {
-	out := make([]bdd.Var, n)
-	for i := range out {
-		out[i] = ma.NewInputBit(fmt.Sprintf("%s%d", prefix, i))
-	}
-	return out
-}
-
 // SetNext assigns the next-state function of a declared state bit. The
 // function may mention current-state and input variables only.
 func (ma *Machine) SetNext(cur bdd.Var, f bdd.Ref) {

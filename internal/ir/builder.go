@@ -141,8 +141,8 @@ func (b *Builder) Dep(v *Node, def *Node) {
 }
 
 // Build validates and returns the model. It panics on validation
-// failure: builder misuse is a bug in the calling constructor, exactly
-// like the legacy constructors' config panics.
+// failure: builder misuse is a bug in the calling constructor, like a
+// model constructor's panic on a bad config.
 func (b *Builder) Build() *Model {
 	mo := b.model
 	if err := mo.Validate(); err != nil {

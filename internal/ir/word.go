@@ -2,11 +2,10 @@ package ir
 
 import "fmt"
 
-// Word is the IR counterpart of expr.Word: a little-endian bit vector
-// of expression nodes denoting an unsigned integer. The operations
-// mirror internal/expr exactly (same adders, same comparator chains),
-// so a model ported from the manager-based constructors computes the
-// same Boolean functions bit for bit.
+// Word is a little-endian bit vector of expression nodes denoting an
+// unsigned integer: the word-level builder (adders, comparators, muxes)
+// every model with a datapath is written in. The functions the models
+// build through it are pinned by the zoo's problem golden.
 type Word []*Node
 
 // WordOf wraps explicit bits (LSB first) as a Word.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/core"
-	"repro/internal/expr"
 	"repro/internal/fsm"
 	"repro/internal/resource"
 )
@@ -33,9 +32,8 @@ func tinyFIFO(t testing.TB, width, depth int, bound uint64, bug bool) (Problem, 
 		}
 	}
 
-	inWord := expr.FromVars(m, in)
 	if !bug {
-		ma.AddInputConstraint(expr.LeConst(inWord, bound))
+		ma.AddInputConstraint(leConst(m, in, bound))
 	}
 	for b := 0; b < width; b++ {
 		ma.SetNext(slots[0][b], m.VarRef(in[b]))
@@ -54,13 +52,28 @@ func tinyFIFO(t testing.TB, width, depth int, bound uint64, bug bool) (Problem, 
 
 	goodList := make([]bdd.Ref, depth)
 	for d := 0; d < depth; d++ {
-		goodList[d] = expr.LeConst(expr.FromVars(m, slots[d]), bound)
+		goodList[d] = leConst(m, slots[d], bound)
 	}
 	return Problem{
 		Machine:  ma,
 		GoodList: goodList,
 		Name:     "tinyFIFO",
 	}, ma
+}
+
+// leConst is the unsigned predicate word <= bound, word given LSB
+// first. (verify's tests cannot use ir's word builder: ir imports
+// verify.)
+func leConst(m *bdd.Manager, word []bdd.Var, bound uint64) bdd.Ref {
+	le := bdd.One
+	for i, v := range word { // LSB to MSB: higher bits dominate
+		if bound>>uint(i)&1 != 0 {
+			le = m.Or(m.NVarRef(v), le)
+		} else {
+			le = m.And(m.NVarRef(v), le)
+		}
+	}
+	return le
 }
 
 func TestAllMethodsVerifyTypedFIFO(t *testing.T) {
