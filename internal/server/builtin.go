@@ -18,29 +18,16 @@ import (
 // content-addressed cache identity. A builtin submission and a textual
 // submission of the equivalent model therefore share one cache entry.
 
-// legacyDefaults reproduces the first API version's default sizes,
-// which were smaller than the zoo entries' own defaults.
-var legacyDefaults = map[string]zoo.Size{
-	"fifo":      {"depth": 3},
-	"network":   {"procs": 2},
-	"filter":    {"depth": 4},
-	"coherence": {"caches": 2},
-	"link":      {"data-bits": 1},
-	"pipeline":  {"regs": 2, "width": 1},
-}
-
 // Builtins returns the accepted builtin names (the zoo registry),
 // sorted.
 func Builtins() []string { return zoo.Names() }
 
 // builtinSize resolves the request's parameter surface — the legacy
-// flat knobs plus the named "params" map — into the zoo size overrides.
-// Named params win over legacy knobs.
+// flat knobs plus the named "params" map — into the zoo size overrides;
+// a parameter left unset takes the entry's default, as GET /models
+// lists it. Named params win over legacy knobs.
 func builtinSize(req *SubmitRequest) (zoo.Size, error) {
 	size := zoo.Size{}
-	for k, v := range legacyDefaults[req.Builtin] {
-		size[k] = v
-	}
 	if req.Size != 0 {
 		key, ok := zoo.LegacySizeKey[req.Builtin]
 		if !ok {

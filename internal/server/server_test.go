@@ -656,6 +656,34 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 }
 
+// A bare builtin runs the defaults GET /models advertises: it gets the
+// model identity of the submission that sets each of them explicitly.
+func TestBareBuiltinRunsModelsDefaults(t *testing.T) {
+	e := newTestServer(t, Config{Workers: 1})
+	_, data := e.get(t, "/models")
+	var infos []ModelInfo
+	if err := json.Unmarshal(data, &infos); err != nil {
+		t.Fatalf("/models not JSON: %v", err)
+	}
+	if len(infos) != len(zoo.Names()) {
+		t.Fatalf("/models lists %d entries, the zoo %d", len(infos), len(zoo.Names()))
+	}
+	for _, mi := range infos {
+		bare, err := normalizeModel(&SubmitRequest{Builtin: mi.Name})
+		if err != nil {
+			t.Fatalf("%s: %v", mi.Name, err)
+		}
+		explicit, err := normalizeModel(&SubmitRequest{Builtin: mi.Name, Params: mi.Defaults})
+		if err != nil {
+			t.Fatalf("%s with its defaults: %v", mi.Name, err)
+		}
+		if bare != explicit {
+			t.Errorf("%s: a bare submission does not build the model of its /models defaults %v",
+				mi.Name, mi.Defaults)
+		}
+	}
+}
+
 // A full queue rejects with 503 and rolls the submission back out of
 // the metrics.
 func TestQueueFullRejects(t *testing.T) {
