@@ -114,6 +114,41 @@ func TestTable2FilterCounts(t *testing.T) {
 	}
 }
 
+// TestFIFOGrowthLaws pins the closed forms behind Table 1's FIFO rows,
+// at width 8 and depth d: the implicit conjunction grows linearly and
+// the monolithic BDD exponentially. ICI and XICI peak at 8d + 1 nodes,
+// d conjuncts of 9; Bkwd peaks at (3d + 2)·2^d - 1 nodes, which is 543
+// at d5 and 32,767 at d10, as in the paper.
+func TestFIFOGrowthLaws(t *testing.T) {
+	for d := 1; d <= 10; d++ {
+		mo, err := Build("fifo", Size{"depth": d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mo.MustInstantiate(bdd.New())
+		slots := make([]int, d)
+		for i := range slots {
+			slots[i] = 9
+		}
+		for _, law := range []struct {
+			method  verify.Method
+			nodes   int
+			profile []int
+		}{
+			{verify.ICI, 8*d + 1, slots},
+			{verify.XICI, 8*d + 1, slots},
+			{verify.Backward, (3*d+2)<<d - 1, nil}, // monolithic: no profile
+		} {
+			res := verify.Run(p, law.method, verify.Options{})
+			if res.Outcome != verify.Verified || res.PeakStateNodes != law.nodes ||
+				!slices.Equal(res.PeakProfile, law.profile) {
+				t.Errorf("d%d %s: %v, peak %d nodes %v; want Verified, %d nodes %v",
+					d, law.method, res.Outcome, res.PeakStateNodes, res.PeakProfile, law.nodes, law.profile)
+			}
+		}
+	}
+}
+
 // TestUnknownParameterRejected checks the user-facing size validation
 // (the icid builtin endpoint path).
 func TestUnknownParameterRejected(t *testing.T) {
