@@ -4,26 +4,28 @@
 //
 // Usage:
 //
-//	iciverify -model fifo -size 5 -method XICI
-//	iciverify -model filter -size 8 -assist -method ICI
-//	iciverify -model pipeline -regs 2 -bits 3 -method Bkwd -nodelimit 2000000
-//	iciverify -model network -method FD            # zoo default size (4 processors)
-//	iciverify -model fifo -size 3 -bug -method Fwd -trace
-//	iciverify -model fifo -size 4 -engines Fwd,Bkwd,XICI
+//	iciverify -model fifo -params depth=5
+//	iciverify -model filter -params depth=8,assist=1 -engines ICI
+//	iciverify -model pipeline -params regs=2,width=3 -engines Bkwd -nodelimit 2000000
+//	iciverify -model network -engines FD          # zoo defaults (4 processors)
+//	iciverify -model fifo -params depth=3,bug=1 -engines Fwd -trace
+//	iciverify -model fifo -params depth=4 -engines Fwd,Bkwd,XICI
 //	iciverify -model elevator -params floors=5
-//	iciverify -model fsm/turnstile -method Fwd -trace
-//	iciverify -fsm machine.fsm -method XICI
+//	iciverify -model fsm/turnstile -engines Fwd -trace
+//	iciverify -fsm machine.fsm
 //	iciverify -engines list
 //
 // Built-in models resolve through the zoo registry (every entry `icid`
-// serves and `icibench -zoo` grids): the paper families take the flat
-// flags (fifo size = depth, network size = processors, filter size =
-// window depth, coherence size = caches, link size = data bits,
-// pipeline -regs/-bits; 0, the default, keeps the entry's default), and
-// every entry takes named -params name=value pairs, which win over the
-// flat flags. -events appends one NDJSON line per engine event. -fsm
-// imports an FSM-toolkit .fsm machine from disk (see internal/fsmtk);
-// -file verifies a textual model (see internal/lang).
+// serves and `icibench -zoo` grids). -params sets an entry's named
+// parameters as name=value pairs, the names icid's GET /models lists:
+// depth for fifo and filter, procs for network, caches for coherence,
+// data-bits for link, regs and width for the pipeline, and assist=1 or
+// bug=1 for the assisted or bugged variant. A parameter left unset
+// keeps the entry's default. -engines runs one or more engines in
+// sequence (default XICI). -events appends one NDJSON line per engine
+// event. -fsm imports an FSM-toolkit .fsm machine from disk (see
+// internal/fsmtk); -file verifies a textual model (see internal/lang);
+// neither takes -params.
 // Ctrl-C cancels a running traversal cleanly (reported as exhausted).
 //
 // Exit codes (multi-engine runs report the worst outcome, where
@@ -69,14 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		model     = fs.String("model", "fifo", "zoo model name (fifo, network, filter, pipeline, coherence, link, elevator, traffic, protostack, fsm/..., ...)")
-		params    = fs.String("params", "", "comma-separated name=value zoo parameters (e.g. floors=5,bug=1); these win over the flat size flags")
-		size      = fs.Int("size", 0, "model size (fifo depth, network processors, filter depth, coherence caches, link data bits; 0 = the model's default)")
-		regs      = fs.Int("regs", 0, "pipeline: number of registers (0 = the model's default)")
-		bits      = fs.Int("bits", 0, "pipeline: datapath width (0 = the model's default)")
-		method    = fs.String("method", "XICI", "method: Fwd, FwdID, Bkwd, FD, ICI, XICI, Induction, PDR")
-		engines   = fs.String("engines", "", "comma-separated engines to run in sequence (overrides -method); \"list\" prints the registered engines and exits")
-		assist    = fs.Bool("assist", false, "supply user assisting invariants / partition")
-		bug       = fs.Bool("bug", false, "seed the model's bug")
+		params    = fs.String("params", "", "comma-separated name=value zoo parameters (e.g. depth=8,assist=1 or floors=5,bug=1); unset ones keep the model's defaults")
+		engines   = fs.String("engines", "XICI", "comma-separated engines to run in sequence (Fwd, FwdID, Bkwd, FD, ICI, XICI, Induction, PDR); \"list\" prints the registered engines and exits")
 		trace     = fs.Bool("trace", false, "print a counterexample trace on violation")
 		nodeLimit = fs.Int("nodelimit", 0, "abort when live BDD nodes exceed this (0 = unlimited)")
 		timeout   = fs.Duration("timeout", 0, "abort after this wall time (0 = unlimited)")
@@ -111,6 +107,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var instantiate func(*bdd.Manager) (verify.Problem, error)
 	switch {
+	case *params != "" && (*file != "" || *fsmFile != ""):
+		fmt.Fprintln(stderr, "iciverify: -params only applies to a -model; -file and -fsm models set their own sizes")
+		return 2
 	case *file != "":
 		src, err := os.ReadFile(*file)
 		if err != nil {
@@ -133,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		instantiate = mo.Instantiate
 	default:
-		sz, err := modelSize(*model, *size, *regs, *bits, *assist, *bug, *params)
+		sz, err := parseParams(*params)
 		if err != nil {
 			fmt.Fprintf(stderr, "iciverify: %v\n", err)
 			return 2
@@ -225,19 +224,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote property BDDs to %s\n", *dotOut)
 	}
 
-	// The run list: -engines selects several, -method one; both resolve
-	// through verify.Resolve, case-insensitively ("pdr" works).
-	var names []string
-	if *engines != "" {
-		names = strings.Split(*engines, ",")
-	} else {
-		names = []string{*method}
-	}
+	// The run list resolves through verify.Resolve, case-insensitively
+	// ("pdr" works).
 	var methods []verify.Method
-	for _, name := range names {
+	for _, name := range strings.Split(*engines, ",") {
 		meth, ok := verify.Resolve(strings.TrimSpace(name))
 		if !ok {
-			fmt.Fprintf(stderr, "iciverify: unknown method %q (try -engines list)\n", strings.TrimSpace(name))
+			fmt.Fprintf(stderr, "iciverify: unknown engine %q (try -engines list)\n", strings.TrimSpace(name))
 			return 2
 		}
 		methods = append(methods, meth)
@@ -294,28 +287,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// modelSize resolves the flat flags and the -params list into the zoo
-// size overrides for the named entry. A flat flag left at 0 keeps the
-// entry's default.
-func modelSize(model string, size, regs, bits int, assist, bug bool, params string) (zoo.Size, error) {
+// parseParams reads the -params list into the zoo size overrides; a
+// parameter left out keeps the entry's default.
+func parseParams(params string) (zoo.Size, error) {
 	sz := zoo.Size{}
-	if key, ok := zoo.LegacySizeKey[model]; ok && size != 0 {
-		sz[key] = size
-	}
-	if model == "pipeline" {
-		if regs != 0 {
-			sz["regs"] = regs
-		}
-		if bits != 0 {
-			sz["width"] = bits
-		}
-	}
-	if assist {
-		sz["assist"] = 1
-	}
-	if bug {
-		sz["bug"] = 1
-	}
 	for _, kv := range strings.Split(params, ",") {
 		if kv = strings.TrimSpace(kv); kv == "" {
 			continue

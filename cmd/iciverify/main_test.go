@@ -44,8 +44,8 @@ func runOK(t *testing.T, args ...string) string {
 // report what it reports alone (mem=, nodes, peak live nodes), not a
 // peak that includes the earlier engines' nodes.
 func TestEnginesDoNotShareAManager(t *testing.T) {
-	solo := runOK(t, "-model", "filter", "-size", "4", "-method", "XICI")
-	multi := runOK(t, "-model", "filter", "-size", "4", "-engines", "Bkwd,XICI")
+	solo := runOK(t, "-model", "filter", "-params", "depth=4", "-engines", "XICI")
+	multi := runOK(t, "-model", "filter", "-params", "depth=4", "-engines", "Bkwd,XICI")
 	want := engineRow(t, solo, "XICI")
 	if got := engineRow(t, multi, "XICI"); got != want {
 		t.Fatalf("XICI after Bkwd: %q\nXICI alone:      %q", got, want)
@@ -83,10 +83,40 @@ func TestEventsWriteErrorReported(t *testing.T) {
 		t.Skip("needs /dev/full")
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-model", "fifo", "-size", "3", "-engines", "Fwd,XICI", "-events", "/dev/full"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-model", "fifo", "-params", "depth=3", "-engines", "Fwd,XICI", "-events", "/dev/full"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	if n := strings.Count(stderr.String(), "-events: "); n != 1 {
 		t.Fatalf("%d -events errors on stderr, want 1:\n%s", n, stderr.String())
+	}
+}
+
+// TestUsageErrors: the removed flat flags are undefined, and -params
+// beside a -file or -fsm model (which sets its own sizes) is refused
+// rather than ignored. Each exits 2 before anything runs.
+func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	model := dir + "/toggle.icl"
+	if err := os.WriteFile(model, []byte("(state s :init 0 :next (not s))\n(good true)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	machine := "../../internal/zoo/fsm/door.fsm"
+	for _, args := range [][]string{
+		{"-model", "fifo", "-size", "3"},
+		{"-model", "fifo", "-method", "XICI"},
+		{"-model", "pipeline", "-regs", "2"},
+		{"-model", "pipeline", "-bits", "2"},
+		{"-model", "filter", "-assist"},
+		{"-model", "fifo", "-bug"},
+		{"-file", model, "-params", "depth=3"},
+		{"-fsm", machine, "-params", "bug=1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("iciverify %v exited %d, want 2\n%s%s", args, code, stdout.String(), stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("iciverify %v ran: %s", args, stdout.String())
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestGaugesSettledAtTerminalTransition(t *testing.T) {
 		{"completed", ""},
 		{"error", "(state x"},
 	} {
-		j, err := s.resolve(SubmitRequest{Builtin: "fifo", Size: 3}, &BatchRequest{}, nil)
+		j, err := s.resolve(SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}}, &BatchRequest{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +87,8 @@ func TestSliceInheritsMemberBudget(t *testing.T) {
 		Budget: BudgetSpec{NodeLimit: 100000},
 		Slice:  BudgetSpec{TimeoutMS: 60000},
 		Jobs: []BatchEntry{
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3}},
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Budget: BudgetSpec{NodeLimit: 50000}}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Budget: BudgetSpec{NodeLimit: 50000}}},
 		},
 	})
 	e.waitBatchDone(t, br.ID)
@@ -233,7 +233,7 @@ func TestUninstantiableModelRejected(t *testing.T) {
 			}
 		}
 		batch := BatchRequest{Jobs: []BatchEntry{
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}}},
 			{SubmitRequest: SubmitRequest{Model: model}},
 		}}
 		if resp := postJSON(t, e.ts.URL+"/batches", batch, nil); resp.StatusCode != http.StatusBadRequest {

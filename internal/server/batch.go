@@ -242,8 +242,8 @@ func expandEntry(idx int, e BatchEntry) ([]SubmitRequest, error) {
 	if e.Grid == "" {
 		return []SubmitRequest{e.SubmitRequest}, nil
 	}
-	if e.Model != "" || e.Builtin != "" {
-		return nil, fmt.Errorf("jobs[%d]: \"grid\" is mutually exclusive with \"model\"/\"builtin\"", idx)
+	if e.Model != "" || e.Builtin != "" || len(e.Params) != 0 {
+		return nil, fmt.Errorf("jobs[%d]: \"grid\" is mutually exclusive with \"model\", \"builtin\" and \"params\"", idx)
 	}
 	ze, ok := zoo.Get(e.Grid)
 	if !ok {

@@ -98,9 +98,9 @@ func TestBatchPortfolioEscalates(t *testing.T) {
 		size  zoo.Size
 	}
 	memberSpecs := []member{
-		{BatchEntry{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3}}, "fifo", zoo.Size{"depth": 3}},
+		{BatchEntry{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}}}, "fifo", zoo.Size{"depth": 3}},
 		{BatchEntry{SubmitRequest: SubmitRequest{Builtin: "fsm/door"}}, "fsm/door", zoo.Size{}},
-		{BatchEntry{SubmitRequest: SubmitRequest{Builtin: "link", Size: 1, Bug: true}}, "link", zoo.Size{"data-bits": 1, "bug": 1}},
+		{BatchEntry{SubmitRequest: SubmitRequest{Builtin: "link", Params: map[string]int{"data-bits": 1, "bug": 1}}}, "link", zoo.Size{"data-bits": 1, "bug": 1}},
 	}
 	breq := BatchRequest{
 		Name:   "portfolio",
@@ -189,9 +189,9 @@ func TestBatchSharedPoolExhausts(t *testing.T) {
 	breq := BatchRequest{
 		Pool: BudgetSpec{NodeLimit: 1},
 		Jobs: []BatchEntry{
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}},
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 4, Engine: "XICI"}},
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 5, Engine: "XICI"}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 4}, Engine: "XICI"}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 5}, Engine: "XICI"}},
 		},
 	}
 	br := e.submitBatch(t, breq)
@@ -233,7 +233,7 @@ func TestBatchMultiplexedStream(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 2, QueueCap: 16})
 	br := e.submitBatch(t, BatchRequest{
 		Jobs: []BatchEntry{
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}},
 			{Grid: "fsm/door"},
 		},
 	})
@@ -314,8 +314,8 @@ func TestBatchQueueFullRollsBack(t *testing.T) {
 	b := e.submit(t, long) // takes one queue slot, one remains
 
 	resp, data := e.postBatch(t, BatchRequest{Jobs: []BatchEntry{
-		{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}},
-		{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "FD"}},
+		{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}},
+		{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "FD"}},
 	}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("oversized batch: %d %s, want 503", resp.StatusCode, data)
@@ -333,7 +333,7 @@ func TestBatchQueueFullRollsBack(t *testing.T) {
 
 	// A batch that fits the remaining slot is admitted.
 	br := e.submitBatch(t, BatchRequest{Jobs: []BatchEntry{
-		{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}},
+		{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}},
 	}})
 
 	// Unblock the workers and let everything land.
@@ -364,6 +364,9 @@ func TestBatchValidation(t *testing.T) {
 		{"negative-pool", `{"pool":{"node_limit":-1},"jobs":[{"builtin":"fifo"}]}`},
 		{"wait-in-batch", `{"jobs":[{"builtin":"fifo","wait":true}]}`},
 		{"grid-and-builtin", `{"jobs":[{"grid":"fifo","builtin":"fifo"}]}`},
+		{"grid-and-params", `{"jobs":[{"grid":"fifo","params":{"depth":3}}]}`},
+		{"removed-member-size", `{"jobs":[{"builtin":"fifo"},{"builtin":"fifo","size":3}]}`},
+		{"params-on-member-model", `{"jobs":[{"model":"(state s :init 0 :next (not s))\n(good true)","params":{"depth":3}}]}`},
 		{"unknown-grid", `{"jobs":[{"grid":"turbofifo"}]}`},
 		{"bad-member-model", `{"jobs":[{"builtin":"fifo"},{"model":"(state x"}]}`},
 		{"bad-member-options", `{"jobs":[{"builtin":"fifo","options":{"workers":-2}}]}`},
@@ -405,14 +408,14 @@ func TestBatchMetricsInvariantUnderChurn(t *testing.T) {
 		Policy: []string{"FD", "XICI"},
 		Slice:  BudgetSpec{NodeLimit: 64},
 		Jobs: []BatchEntry{
-			{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3}},
-			{SubmitRequest: SubmitRequest{Builtin: "link", Size: 1, Bug: true}},
+			{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}}},
+			{SubmitRequest: SubmitRequest{Builtin: "link", Params: map[string]int{"data-bits": 1, "bug": 1}}},
 		},
 	})
-	single := e.submit(t, SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"})
+	single := e.submit(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"})
 	br2 := e.submitBatch(t, BatchRequest{Jobs: []BatchEntry{
 		{SubmitRequest: SubmitRequest{Builtin: "fsm/door", Engine: "XICI"}},
-		{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}},
+		{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}},
 	}})
 
 	e.waitBatchDone(t, br1.ID)
@@ -421,7 +424,7 @@ func TestBatchMetricsInvariantUnderChurn(t *testing.T) {
 
 	// A duplicate of the single job: answered from the cache, still a
 	// completed submission.
-	resp, data := e.post(t, SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"})
+	resp, data := e.post(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("duplicate submit: %d %s", resp.StatusCode, data)
 	}
@@ -479,7 +482,7 @@ func TestBatchDrainSealsStream(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 1, QueueCap: 8})
 	br := e.submitBatch(t, BatchRequest{Jobs: []BatchEntry{
 		{SubmitRequest: SubmitRequest{Model: counterModel(18), Name: "counter", Engine: "Fwd"}},
-		{SubmitRequest: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}},
+		{SubmitRequest: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}},
 	}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -574,7 +577,7 @@ func TestTraceRenderErrorSurfaces(t *testing.T) {
 // variants that resolve to byte-identical work share one entry.
 func TestCacheKeyNormalization(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 2, MaxNodeLimit: 1 << 20})
-	base := SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}
+	base := SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}
 
 	first := e.submit(t, base)
 	if st := e.waitDone(t, first); st.Result == nil || st.Result.Outcome != verify.Verified.String() {

@@ -22,42 +22,6 @@ import (
 // sorted.
 func Builtins() []string { return zoo.Names() }
 
-// builtinSize resolves the request's parameter surface — the legacy
-// flat knobs plus the named "params" map — into the zoo size overrides;
-// a parameter left unset takes the entry's default, as GET /models
-// lists it. Named params win over legacy knobs.
-func builtinSize(req *SubmitRequest) (zoo.Size, error) {
-	size := zoo.Size{}
-	if req.Size != 0 {
-		key, ok := zoo.LegacySizeKey[req.Builtin]
-		if !ok {
-			return nil, fmt.Errorf("builtin %q takes named parameters; use \"params\" instead of \"size\"", req.Builtin)
-		}
-		size[key] = req.Size
-	}
-	if req.Regs != 0 || req.Bits != 0 {
-		if req.Builtin != "pipeline" {
-			return nil, fmt.Errorf("\"regs\"/\"bits\" only apply to the pipeline builtin; use \"params\" for %q", req.Builtin)
-		}
-		if req.Regs != 0 {
-			size["regs"] = req.Regs
-		}
-		if req.Bits != 0 {
-			size["width"] = req.Bits
-		}
-	}
-	if req.Assist {
-		size["assist"] = 1
-	}
-	if req.Bug {
-		size["bug"] = 1
-	}
-	for k, v := range req.Params {
-		size[k] = v
-	}
-	return size, nil
-}
-
 // normalizeModel validates the request's model selection, fills
 // defaults in place, and returns the canonical model identity string
 // the result cache hashes. Both frontends converge on the same
@@ -73,6 +37,9 @@ func normalizeModel(req *SubmitRequest) (string, error) {
 			strings.Join(Builtins(), ", "))
 	}
 	if hasModel {
+		if len(req.Params) != 0 {
+			return "", fmt.Errorf("\"params\" only applies to a builtin; a textual model sets its own sizes")
+		}
 		canon, err := lang.Canon(req.Model)
 		if err != nil {
 			return "", err
@@ -87,11 +54,7 @@ func normalizeModel(req *SubmitRequest) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("unknown builtin %q (builtins: %s)", req.Builtin, strings.Join(Builtins(), ", "))
 	}
-	size, err := builtinSize(req)
-	if err != nil {
-		return "", err
-	}
-	mo, err := e.Model(size)
+	mo, err := e.Model(req.Params)
 	if err != nil {
 		return "", err
 	}

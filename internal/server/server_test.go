@@ -157,31 +157,31 @@ func TestConcurrentFiveModels(t *testing.T) {
 	}
 	cases := []caseSpec{
 		{
-			req: SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"},
+			req: SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"},
 			direct: func(m *bdd.Manager) verify.Problem {
 				return models.BuildFIFO(models.DefaultFIFO(3)).MustInstantiate(m)
 			},
 		},
 		{
-			req: SubmitRequest{Builtin: "network", Size: 2, Engine: "FD"},
+			req: SubmitRequest{Builtin: "network", Params: map[string]int{"procs": 2}, Engine: "FD"},
 			direct: func(m *bdd.Manager) verify.Problem {
 				return models.BuildNetwork(models.NetworkConfig{Procs: 2}).MustInstantiate(m)
 			},
 		},
 		{
-			req: SubmitRequest{Builtin: "filter", Size: 4, Assist: true, Engine: "ICI"},
+			req: SubmitRequest{Builtin: "filter", Params: map[string]int{"depth": 4, "assist": 1}, Engine: "ICI"},
 			direct: func(m *bdd.Manager) verify.Problem {
 				return models.BuildFilter(models.DefaultFilter(4, true)).MustInstantiate(m)
 			},
 		},
 		{
-			req: SubmitRequest{Builtin: "pipeline", Regs: 2, Bits: 1, Engine: "XICI"},
+			req: SubmitRequest{Builtin: "pipeline", Params: map[string]int{"regs": 2, "width": 1}, Engine: "XICI"},
 			direct: func(m *bdd.Manager) verify.Problem {
 				return models.BuildPipeline(models.DefaultPipeline(2, 1)).MustInstantiate(m)
 			},
 		},
 		{
-			req: SubmitRequest{Builtin: "link", Size: 1, Bug: true, Engine: "Bkwd",
+			req: SubmitRequest{Builtin: "link", Params: map[string]int{"data-bits": 1, "bug": 1}, Engine: "Bkwd",
 				Options: OptionsSpec{WantTrace: true}},
 			direct: func(m *bdd.Manager) verify.Problem {
 				return models.BuildLink(models.LinkConfig{DataBits: 1, Bug: true}).MustInstantiate(m)
@@ -280,7 +280,7 @@ func TestConcurrentFiveModels(t *testing.T) {
 // NDJSON, bracketed by lifecycle lines, ending in the "done" line.
 func TestEventStreamFollowsToDone(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 1})
-	id := e.submit(t, SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"})
+	id := e.submit(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"})
 
 	resp, err := http.Get(e.ts.URL + "/jobs/" + id + "/events")
 	if err != nil {
@@ -430,7 +430,7 @@ func TestDeleteCancelsRunningAndQueued(t *testing.T) {
 // final event line in place.
 func TestShutdownDrainsWithoutLosingFinalEvents(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 1, QueueCap: 8})
-	quick := e.submit(t, SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"})
+	quick := e.submit(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"})
 	long := e.submit(t, SubmitRequest{Model: counterModel(18), Name: "counter", Engine: "Fwd"})
 
 	// A short drain window: the quick job (first in the single worker's
@@ -440,7 +440,7 @@ func TestShutdownDrainsWithoutLosingFinalEvents(t *testing.T) {
 	err := e.srv.Shutdown(ctx)
 
 	// Intake is closed.
-	resp, _ := e.post(t, SubmitRequest{Builtin: "fifo", Size: 3})
+	resp, _ := e.post(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit after drain: %d, want 503", resp.StatusCode)
 	}
@@ -479,7 +479,7 @@ func TestShutdownDrainsWithoutLosingFinalEvents(t *testing.T) {
 // changed option or budget must miss.
 func TestResultCache(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 2})
-	req := SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"}
+	req := SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"}
 
 	first := e.submit(t, req)
 	st1 := e.waitDone(t, first)
@@ -538,7 +538,7 @@ func TestResultCache(t *testing.T) {
 func TestCacheSharedBetweenTextAndBuiltin(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 2})
 
-	first := e.submit(t, SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI"})
+	first := e.submit(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI"})
 	st1 := e.waitDone(t, first)
 	if st1.Result == nil || st1.Result.Outcome != verify.Verified.String() {
 		t.Fatalf("builtin run: %+v", st1.Result)
@@ -618,15 +618,10 @@ func TestZooBuiltinsServe(t *testing.T) {
 		t.Fatalf("fsm/door resubmission not served from cache: %s", data)
 	}
 
-	// Parameter validation stays a 400: unknown param, and flat size on
-	// a params-only entry.
+	// Parameter validation stays a 400: an unknown param.
 	resp, _ = e.post(t, SubmitRequest{Builtin: "elevator", Params: map[string]int{"storeys": 3}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown param: %d, want 400", resp.StatusCode)
-	}
-	resp, _ = e.post(t, SubmitRequest{Builtin: "elevator", Size: 3})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("flat size on params-only entry: %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -734,7 +729,13 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty", `{}`, http.StatusBadRequest},
 		{"both-model-and-builtin", `{"model":"(good true)","builtin":"fifo"}`, http.StatusBadRequest},
 		{"unknown-builtin", `{"builtin":"turbofifo"}`, http.StatusBadRequest},
-		{"bad-size", `{"builtin":"filter","size":3}`, http.StatusBadRequest},
+		{"bad-size", `{"builtin":"filter","params":{"depth":3}}`, http.StatusBadRequest},
+		{"removed-size", `{"builtin":"fifo","size":4}`, http.StatusBadRequest},
+		{"removed-regs", `{"builtin":"pipeline","regs":2}`, http.StatusBadRequest},
+		{"removed-bits", `{"builtin":"pipeline","bits":2}`, http.StatusBadRequest},
+		{"removed-assist", `{"builtin":"filter","assist":true}`, http.StatusBadRequest},
+		{"removed-bug", `{"builtin":"fifo","bug":true}`, http.StatusBadRequest},
+		{"params-on-model", `{"model":"(state s :init 0 :next (not s))\n(good true)","params":{"depth":3}}`, http.StatusBadRequest},
 		{"model-syntax", `{"model":"(state x"}`, http.StatusBadRequest},
 		{"model-semantics", `{"model":"(state s :init 0 :next q)\n(good true)"}`, http.StatusBadRequest},
 		{"unknown-engine", `{"builtin":"fifo","engine":"Magic"}`, http.StatusBadRequest},
@@ -760,6 +761,11 @@ func TestSubmitValidation(t *testing.T) {
 		if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
 			t.Errorf("%s: error body %q", c.name, data)
 		}
+		// A removed flat knob is named in the error, not ignored.
+		if field, ok := strings.CutPrefix(c.name, "removed-"); ok &&
+			!strings.Contains(er.Error, `unknown field "`+field+`"`) {
+			t.Errorf("%s: error %q does not name the field", c.name, er.Error)
+		}
 	}
 	if resp, _ := e.get(t, "/jobs/j999999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status: %d, want 404", resp.StatusCode)
@@ -781,7 +787,7 @@ func TestServerSideBudgets(t *testing.T) {
 	// Client asks for a huge node budget; the clamp forces 700, which a
 	// size-5 FIFO under Bkwd overruns.
 	id := e.submit(t, SubmitRequest{
-		Builtin: "fifo", Size: 5, Engine: "Bkwd",
+		Builtin: "fifo", Params: map[string]int{"depth": 5}, Engine: "Bkwd",
 		Budget: BudgetSpec{NodeLimit: 1 << 30},
 	})
 	st := e.waitDone(t, id)
@@ -799,7 +805,7 @@ func TestServerSideBudgets(t *testing.T) {
 // Wait-mode submissions return the final status inline.
 func TestWaitModeInlineResult(t *testing.T) {
 	e := newTestServer(t, Config{Workers: 1})
-	resp, data := e.post(t, SubmitRequest{Builtin: "fifo", Size: 3, Engine: "XICI", Wait: true})
+	resp, data := e.post(t, SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 3}, Engine: "XICI", Wait: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("wait submit: %d %s", resp.StatusCode, data)
 	}

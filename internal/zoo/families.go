@@ -13,17 +13,6 @@ import (
 
 func boolKnob(s Size, key string) bool { return s.Get(key, 0) != 0 }
 
-// LegacySizeKey maps the flat "size" knob of the paper families
-// (iciverify -size, icid's "size" field) onto the parameter it has
-// always meant. The pipeline takes "regs" and "width" instead.
-var LegacySizeKey = map[string]string{
-	"fifo":      "depth",
-	"network":   "procs",
-	"filter":    "depth",
-	"coherence": "caches",
-	"link":      "data-bits",
-}
-
 func init() {
 	Register(Entry{
 		Name:     "fifo",

@@ -89,7 +89,7 @@ curl -sf "$BASE1/healthz" | grep -q '"store_path":' || fail "node 1 store path m
 curl -sf "$BASE1/healthz" | grep -q '"version":' || fail "node 1 version missing"
 
 echo "icid_cluster_smoke: submitting the same model to both nodes"
-REQ='{"builtin":"fifo","size":4,"engine":"XICI","wait":true}'
+REQ='{"builtin":"fifo","params":{"depth":4},"engine":"XICI","wait":true}'
 R1=$(curl -sf "$BASE1/jobs" -d "$REQ") || fail "submit to node 1 rejected"
 R2=$(curl -sf "$BASE2/jobs" -d "$REQ") || fail "submit to node 2 rejected"
 printf '%s' "$R1" | grep -q '"outcome":"verified"' || fail "node 1 verdict: $R1"

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # End-to-end smoke test for the icid verification service, run in CI.
 #
-# Builds the daemon, starts it, submits the FIFO builtin over HTTP,
+# Builds the daemon, starts it, checks that a request with the removed
+# flat "size" field is a 400 naming it, submits the FIFO builtin over HTTP,
 # follows the job's NDJSON event stream to its final line, asserts the
 # verdict, checks the /metrics invariants, then submits a 3-model
 # batch with a portfolio escalation policy, follows the multiplexed
@@ -40,9 +41,17 @@ until curl -sf "$BASE/healthz" >/dev/null 2>&1; do
 done
 curl -sf "$BASE/healthz" | grep -q '"status":"ok"' || fail "healthz not ok"
 
+echo "icid_smoke: the removed flat size field is a 400 that names it"
+REMOVED=$(curl -s -w '\n%{http_code}' "$BASE/jobs" \
+	-d '{"builtin":"fifo","size":4}') || fail "request with \"size\" failed"
+printf '%s\n' "$REMOVED" | tail -n 1 | grep -qx '400' ||
+	fail "\"size\" not rejected with 400: $REMOVED"
+printf '%s\n' "$REMOVED" | grep -q 'unknown field .*size' ||
+	fail "400 body does not name \"size\": $REMOVED"
+
 echo "icid_smoke: submitting the fifo builtin"
 SUBMIT=$(curl -sf "$BASE/jobs" \
-	-d '{"builtin":"fifo","size":4,"engine":"XICI"}') ||
+	-d '{"builtin":"fifo","params":{"depth":4},"engine":"XICI"}') ||
 	fail "submission rejected"
 # {"id":"j000001","cached":false} — extract the id without jq.
 ID=$(printf '%s' "$SUBMIT" | tr -d '"{} ' | tr ',' '\n' |
@@ -70,9 +79,9 @@ printf '%s' "$METRICS" | grep -q '"verified": 1' || fail "verified != 1: $METRIC
 echo "icid_smoke: submitting a 3-model batch with escalation policy"
 BSUBMIT=$(curl -sf "$BASE/batches" -d '{
 	"jobs": [
-		{"builtin":"fifo","size":3},
+		{"builtin":"fifo","params":{"depth":3}},
 		{"builtin":"fsm/door"},
-		{"builtin":"link","size":1,"bug":true,"name":"link-bug"}
+		{"builtin":"link","params":{"data-bits":1,"bug":1},"name":"link-bug"}
 	],
 	"policy": ["FD","XICI"],
 	"slice": {"node_limit": 64}
