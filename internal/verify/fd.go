@@ -22,11 +22,14 @@ import (
 //     any reached state, the dependent bits' next values equal the
 //     defining functions applied to the next values of the others.
 //
-// If the dependency fails (initially or inductively) the run reports a
-// violation: for the models in this repository the declared dependency
-// is the property being verified, so this is precisely a property
-// violation. With no declared dependencies the method is plain forward
-// traversal.
+// A declared dependency is user input, not the property, so a failing
+// one (initially or inductively) is an analysis finding rather than a
+// verdict. The run then answers for the property on the full machine's
+// exact rings, lifted through the dependency up to the failure: a state
+// there that breaks the property is a violation at that depth;
+// otherwise the run stops Exhausted (cause "other") with a Why naming
+// the refuted declaration. With no declared dependencies the method is
+// plain forward traversal.
 func runFD(c *runCtx, p Problem, opt Options) Result {
 	if len(p.Deps) == 0 {
 		return runForward(c, p, opt)
@@ -49,11 +52,34 @@ func runFD(c *runCtx, p Problem, opt Options) Result {
 		}
 	}
 
+	// refuted answers for the property once a declared dependency fails
+	// on a state of full[k], where full[0..k] are the full machine's
+	// exact onion rings.
+	refuted := func(full []bdd.Ref) Result {
+		k := len(full) - 1
+		peak, _ := c.Peak()
+		if !m.Implies(full[k], p.good()) {
+			res := Result{Outcome: Violated, Iterations: k, ViolationDepth: k, PeakStateNodes: peak}
+			if opt.WantTrace {
+				res.Trace = traceFromRings(ma, full, p.good().Not())
+			}
+			return res
+		}
+		var name string
+		for _, d := range p.Deps {
+			if !m.Implies(full[k], m.Xnor(m.VarRef(d.Var), d.Def)) {
+				name = m.VarName(d.Var)
+				break
+			}
+		}
+		return Result{Outcome: Exhausted, Iterations: k, PeakStateNodes: peak,
+			Why: fmt.Sprintf("declared dependency for %s fails on a reachable state at depth %d, where the property holds", name, k)}
+	}
+
 	// Step 1: the dependency must hold in every initial state.
 	for _, d := range p.Deps {
 		if !m.Implies(ma.Init(), m.Xnor(m.VarRef(d.Var), d.Def)) {
-			return Result{Outcome: Violated, Iterations: 0, ViolationDepth: 0,
-				Why: fmt.Sprintf("dependency for %s fails on an initial state", m.VarName(d.Var))}
+			return refuted([]bdd.Ref{ma.Init()})
 		}
 	}
 
@@ -110,27 +136,32 @@ func runFD(c *runCtx, p Problem, opt Options) Result {
 	rings := []bdd.Ref{r}
 	c.Observe(m.Size(r), nil)
 
-	for i := 0; ; i++ {
-		peak, _ := c.Peak()
-		if m.AndN(r, red.constraint, badDep) != bdd.Zero {
-			return Result{Outcome: Violated, Iterations: i, ViolationDepth: i + 1,
-				PeakStateNodes: peak,
-				Why:            "functional dependency is not inductive on a reachable state"}
+	// lift turns the reduced rings back into full-machine rings: the
+	// dependency held inductively up to the last of them, so each lifted
+	// ring is exactly the corresponding full reachable iterate, and the
+	// standard onion-ring walk applies.
+	lift := func() []bdd.Ref {
+		lifted := make([]bdd.Ref, len(rings))
+		for j, rr := range rings {
+			lifted[j] = m.And(rr, depRel)
 		}
+		return lifted
+	}
+
+	for i := 0; ; i++ {
 		if !m.Implies(r, goodRed) {
+			peak, _ := c.Peak()
 			res := Result{Outcome: Violated, Iterations: i, ViolationDepth: i, PeakStateNodes: peak}
 			if opt.WantTrace {
-				// Lift the reduced rings back to full-machine rings: the
-				// dependency held inductively up to here, so each lifted
-				// ring is exactly the corresponding full reachable
-				// iterate, and the standard onion-ring walk applies.
-				lifted := make([]bdd.Ref, len(rings))
-				for j, rr := range rings {
-					lifted[j] = m.And(rr, depRel)
-				}
-				res.Trace = traceFromRings(ma, lifted, p.good().Not())
+				res.Trace = traceFromRings(ma, lift(), p.good().Not())
 			}
 			return res
+		}
+		if m.AndN(r, red.constraint, badDep) != bdd.Zero {
+			// A successor of ring i breaks the dependency: ring i+1 is
+			// the full machine's image of lifted ring i.
+			full := lift()
+			return refuted(append(full, ma.Image(full[i])))
 		}
 		if res, stop := c.Tick(i); stop {
 			return res

@@ -75,20 +75,27 @@ func TestFDVerifiesParity(t *testing.T) {
 }
 
 func TestFDCatchesBrokenDependency(t *testing.T) {
-	p, _ := parityMachine(t, 4, true)
-	res := Run(p, FD, Options{})
+	p, ma := parityMachine(t, 4, true)
+	res := Run(p, FD, Options{WantTrace: true})
 	if res.Outcome != Violated {
 		t.Fatalf("FD outcome %v, want violated", res.Outcome)
 	}
-	// The bug is real: forward traversal agrees.
-	if r := Run(p, Forward, Options{}); r.Outcome != Violated {
-		t.Fatalf("Forward outcome %v, want violated", r.Outcome)
+	if res.Trace == nil {
+		t.Fatal("FD violated without a trace")
+	}
+	if err := res.Trace.Validate(ma, []bdd.Ref{p.Good}); err != nil {
+		t.Fatal(err)
+	}
+	// The bug is real: forward traversal agrees, at the same depth.
+	if r := Run(p, Forward, Options{}); r.Outcome != Violated || r.ViolationDepth != res.ViolationDepth {
+		t.Fatalf("Forward %v at depth %d, FD depth %d", r.Outcome, r.ViolationDepth, res.ViolationDepth)
 	}
 }
 
 // TestFDCatchesNonInitialDependency seeds a machine whose initial state
 // already breaks the declared dependency (parity starts at 1 under an
-// all-zero counter): FD must flag it at depth 0.
+// all-zero counter), which here is also the property: FD must flag it
+// at depth 0, with the one-state trace.
 func TestFDCatchesNonInitialDependency(t *testing.T) {
 	m := bdd.New()
 	ma := fsm.New(m)
@@ -124,9 +131,15 @@ func TestFDCatchesNonInitialDependency(t *testing.T) {
 		Deps:    []Dependency{{Var: parity, Def: xorAll}},
 		Name:    "badInitParity",
 	}
-	res := Run(p, FD, Options{})
+	res := Run(p, FD, Options{WantTrace: true})
 	if res.Outcome != Violated || res.ViolationDepth != 0 {
 		t.Fatalf("FD on broken init: %v depth %d", res.Outcome, res.ViolationDepth)
+	}
+	if res.Trace == nil || res.Trace.Len() != 0 {
+		t.Fatalf("FD on broken init: trace %v, want one state", res.Trace)
+	}
+	if err := res.Trace.Validate(ma, []bdd.Ref{p.Good}); err != nil {
+		t.Fatal(err)
 	}
 }
 
