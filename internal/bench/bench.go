@@ -14,11 +14,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bdd"
-	"repro/internal/par"
 	"repro/internal/resource"
 	"repro/internal/verify"
 )
@@ -172,16 +174,33 @@ func (t Table) Run(ctx context.Context, w io.Writer, budget Budget) []CellResult
 // may tip a borderline cell into "Exceeded time budget".
 //
 // Each cell observes ctx through its own budget, so cancellation aborts
-// in-flight cells individually and the pool drains without leaking
-// goroutines.
+// in-flight cells individually and the workers drain without leaking
+// goroutines. RunCell turns every resource overrun into a result, so a
+// panic here is a bug and ends the program, as it does under Run.
 func (t Table) RunParallel(ctx context.Context, w io.Writer, budget Budget, workers int) []CellResult {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers == 1 || len(t.Cells) < 2 {
 		return t.Run(ctx, w, budget)
 	}
 	results := make([]CellResult, len(t.Cells))
-	par.NewPool(workers).ForEach(len(t.Cells), func(i int) {
-		results[i] = RunCell(ctx, t.Cells[i], budget)
-	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(t.Cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(t.Cells) {
+					return
+				}
+				results[i] = RunCell(ctx, t.Cells[i], budget)
+			}
+		}()
+	}
+	wg.Wait()
 	rw := newRowWriter(w, t.Title, t.ShowEffort)
 	for _, cr := range results {
 		rw.row(cr)

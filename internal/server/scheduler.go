@@ -5,24 +5,34 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 
 	"repro/internal/bdd"
-	"repro/internal/par"
 	"repro/internal/resource"
 	"repro/internal/verify"
 )
 
-// The scheduler is par.Serve over the server's bounded job channel:
-// Config.Workers persistent workers, each running one job at a time on
+// The scheduler is Config.Workers persistent goroutines ranging over
+// the server's bounded job channel, each running one job at a time on
 // a manager of its own. Closing the channel (drain) lets the workers
 // finish the backlog and exit; the server signals schedDone when the
 // last one returns.
 
-// startScheduler launches the worker pool. It is called once by New.
+// startScheduler launches the workers. It is called once by New.
 func (s *Server) startScheduler() {
+	var wg sync.WaitGroup
+	for w := 0; w < s.cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range s.tasks {
+				s.runJob(j)
+			}
+		}()
+	}
 	go func() {
-		defer close(s.schedDone)
-		par.Serve(s.cfg.Workers, s.tasks, s.runJob)
+		wg.Wait()
+		close(s.schedDone)
 	}()
 }
 

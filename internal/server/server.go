@@ -1,8 +1,8 @@
 // Package server implements icid, the networked verification service:
 // an HTTP/JSON API that accepts verification jobs (textual models in
-// the internal/lang wire format or named built-ins), queues them on a
-// bounded queue, schedules them across a par.Serve worker pool — one
-// fresh BDD manager per job, the job's resource.Budget joined to the
+// the internal/lang wire format, or zoo built-ins sized by their named
+// params), queues them on a bounded queue, runs them on Config.Workers
+// worker goroutines — one fresh BDD manager per job, the job's resource.Budget joined to the
 // daemon lifecycle and (for synchronous submissions) the client's
 // request context — and streams per-job progress as NDJSON by
 // marshalling each verify.Event the run's Options.Observer receives.
