@@ -407,8 +407,9 @@ func (m *Manager) alloc() int32 {
 	return int32(len(m.nodes) - 1)
 }
 
-// maxCacheBits caps adaptive computed-cache growth (2^23 entries ≈
-// 160MB): beyond this, hit rate gains no longer pay for the memory.
+// maxCacheBits caps adaptive computed-cache growth (2^23 entries of 24
+// bytes ≈ 201MB): beyond this, hit rate gains no longer pay for the
+// memory.
 const maxCacheBits = 23
 
 // growBuckets doubles the unique table and rehashes all live nodes. It

@@ -116,8 +116,8 @@ func TestPDRWithGC(t *testing.T) {
 	}
 }
 
-// TestResolveMethodNames: the case-insensitive lookup behind every
-// -engines / -method flag and the icid engine option.
+// TestResolveMethodNames: the case-insensitive lookup behind the
+// -engines flags and the icid engine option.
 func TestResolveMethodNames(t *testing.T) {
 	cases := []struct {
 		in   string
