@@ -3,6 +3,11 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -182,18 +187,38 @@ func TestRowLabelOverride(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the quick-grid goldens in testdata")
+
+// Row times vary run to run, and Mem follows the manager's table sizes
+// rather than the verification, so the goldens mask both.
+var (
+	rowTime = regexp.MustCompile(`[0-9]+:[0-9]{2}\.[0-9]{2}`)
+	rowMem  = regexp.MustCompile(`\b[0-9]+K +`)
+)
+
+func maskRows(s string) string {
+	s = rowTime.ReplaceAllString(s, "-:--.--")
+	return rowMem.ReplaceAllString(s, fmt.Sprintf("%-11s", "-K"))
+}
+
+// TestQuickTablesRunGreen runs the quick paper tables and the quick zoo
+// grid and compares their rendered rows, times and Mem masked, with
+// testdata/quick_tables.golden and testdata/quick_zoo.golden: outcome,
+// iterations, peak nodes and profile of every row. Regenerate with
+//
+//	go test ./internal/bench -run TestQuickTablesRunGreen -update
 func TestQuickTablesRunGreen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick tables still take a few seconds")
 	}
-	var sb strings.Builder
+	var tables, zooGrid strings.Builder
 	for _, tb := range []func() (Table, Budget){
 		func() (Table, Budget) { return Table1(true) },
 		func() (Table, Budget) { return Table2(true) },
 		func() (Table, Budget) { return Table3(true, true) },
 	} {
 		tab, budget := tb()
-		results := tab.Run(context.Background(), &sb, budget)
+		results := tab.Run(context.Background(), &tables, budget)
 		if len(results) == 0 {
 			t.Fatalf("%s produced no rows", tab.Title)
 		}
@@ -203,12 +228,42 @@ func TestQuickTablesRunGreen(t *testing.T) {
 			}
 		}
 	}
-	out := sb.String()
+	tab, budget := ZooTable(true)
+	tab.Run(context.Background(), &zooGrid, budget)
 	for _, want := range []string{"Meth.", "Iter", "BDD Nodes", "FIFO", "XICI*"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table output missing %q:\n%s", want, out)
+		if !strings.Contains(tables.String(), want) {
+			t.Fatalf("table output missing %q:\n%s", want, tables.String())
 		}
 	}
+	checkGolden(t, "quick_tables.golden", maskRows(tables.String()))
+	checkGolden(t, "quick_zoo.golden", maskRows(zooGrid.String()))
+}
+
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s drifted at line %d:\n got  %s\n want %s", name, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, golden %d", name, len(gl), len(wl))
 }
 
 func TestFullTableDefinitions(t *testing.T) {
