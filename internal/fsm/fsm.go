@@ -56,13 +56,12 @@ type Machine struct {
 	sealed bool
 
 	// Caches built by Seal.
-	sub        *bdd.Substitution // cur -> nextFn
-	inputCube  bdd.Ref
-	curCube    bdd.Ref
-	transition []transPart // partitioned relation, with quantification schedule
-	seedQuant  bdd.Ref     // variables no relation conjunct mentions
+	sub       *bdd.Substitution // cur -> nextFn
+	inputCube bdd.Ref
+	curCube   bdd.Ref
+	fwd       Relation // partitioned relation, with the forward schedule
 
-	preTransition []transPart // backward-direction quantification schedule
+	preTransition []part // backward-direction quantification schedule
 	preSeedQuant  bdd.Ref
 
 	// PreImageMode selects the PreImage/BackImage implementation; see
@@ -87,16 +86,13 @@ const (
 	PreCompose
 )
 
-// transPart is one conjunct of the partitioned transition relation plus
-// the cube of variables that may be quantified out right after it is
-// conjoined (no later conjunct mentions them).
-type transPart struct {
-	rel   bdd.Ref
-	quant bdd.Ref
-
-	// Backward schedule only: the variables of quant, and those of rel's
-	// support outside quant — what running the part can add to the
-	// accumulator's support (see preChain).
+// part is one conjunct of a partitioned transition relation plus the
+// cube of variables that may be quantified out right after it is
+// conjoined (no later conjunct mentions them). quantVars lists quant's
+// variables and restVars the rest of rel's support: what running the
+// part can add to the accumulator's support (see preChain).
+type part struct {
+	rel, quant          bdd.Ref
 	quantVars, restVars []bdd.Var
 }
 
@@ -258,8 +254,16 @@ func (ma *Machine) Seal() error {
 
 	ma.inputCube = m.MkCube(ma.inputs)
 	ma.curCube = m.MkCube(ma.cur)
-	ma.buildPartition()
-	ma.buildPrePartition()
+	// One conjunct next_i ≡ f_i per state bit. Forward, the current
+	// and input variables are quantified; backward (PreRelational), the
+	// next and input variables, with Z renamed to next variables as the
+	// seed.
+	rels := make([]bdd.Ref, len(ma.cur))
+	for i, c := range ma.cur {
+		rels[i] = m.Xnor(m.VarRef(ma.next[i]), ma.nextFn[c])
+	}
+	ma.fwd = newRelation(m, ma.constraint, rels, ma.cur, ma.next, ma.inputs)
+	ma.preTransition, ma.preSeedQuant = schedule(m, rels, append(append([]bdd.Var(nil), ma.next...), ma.inputs...))
 
 	ma.sealed = true
 	return nil
@@ -298,10 +302,8 @@ func (ma *Machine) Roots() []bdd.Ref {
 		roots = append(roots, f)
 	}
 	if ma.sealed {
-		roots = append(roots, ma.inputCube, ma.curCube, ma.seedQuant, ma.preSeedQuant)
-		for _, p := range ma.transition {
-			roots = append(roots, p.rel, p.quant)
-		}
+		roots = append(roots, ma.inputCube, ma.curCube, ma.preSeedQuant)
+		roots = append(roots, ma.fwd.Roots()...)
 		for _, p := range ma.preTransition {
 			roots = append(roots, p.rel, p.quant)
 		}
@@ -309,54 +311,44 @@ func (ma *Machine) Roots() []bdd.Ref {
 	return roots
 }
 
-// buildPartition constructs the conjunctively partitioned transition
-// relation with an early-quantification schedule: each conjunct
-// next_i ≡ f_i carries the cube of current/input variables that no later
-// conjunct (and no earlier unprocessed part) mentions, so they are
-// quantified out as soon as the conjunct is ANDed in.
-func (ma *Machine) buildPartition() {
-	m := ma.M
-	n := len(ma.cur)
-	parts := make([]bdd.Ref, n)
-	support := make([][]bdd.Var, n)
-	for i, c := range ma.cur {
-		parts[i] = m.Xnor(m.VarRef(ma.next[i]), ma.nextFn[c])
-		support[i] = m.Support(parts[i])
-	}
-
-	// lastUse[v] = index of the last conjunct whose support contains v.
-	lastUse := make(map[bdd.Var]int)
-	for _, v := range ma.cur {
-		lastUse[v] = -1 // quantified immediately after the seed (Z ∧ C)
-	}
-	for _, v := range ma.inputs {
+// schedule computes the early-quantification schedule of the
+// conjunction of rels: each variable of quantifiable is quantified
+// right after the last part whose support mentions it, and the ones no
+// part mentions are quantified out of the seed, before the first part.
+// Forward images, backward images and the FD method's reduced relation
+// all run on it.
+func schedule(m *bdd.Manager, rels []bdd.Ref, quantifiable []bdd.Var) (parts []part, seed bdd.Ref) {
+	lastUse := make(map[bdd.Var]int, len(quantifiable))
+	for _, v := range quantifiable {
 		lastUse[v] = -1
 	}
-	for i, sup := range support {
-		for _, v := range sup {
-			if ma.isCur(v) || ma.isInput(v) {
+	supports := make([][]bdd.Var, len(rels))
+	for i, rel := range rels {
+		supports[i] = m.Support(rel)
+		for _, v := range supports[i] {
+			if _, ok := lastUse[v]; ok {
 				lastUse[v] = i
 			}
 		}
 	}
-
-	ma.transition = make([]transPart, n)
-	for i := range parts {
-		var cube []bdd.Var
-		for v, last := range lastUse {
-			if last == i {
-				cube = append(cube, v)
+	parts = make([]part, len(rels))
+	for i, rel := range rels {
+		p := part{rel: rel}
+		for _, v := range supports[i] {
+			if last, ok := lastUse[v]; ok && last == i {
+				p.quantVars = append(p.quantVars, v)
+			} else {
+				p.restVars = append(p.restVars, v)
 			}
 		}
-		ma.transition[i] = transPart{rel: parts[i], quant: m.MkCube(cube)}
+		p.quant = m.MkCube(p.quantVars)
+		parts[i] = p
 	}
-	// Variables never mentioned by any conjunct (lastUse == -1) are
-	// quantified out of the seed before the partition is applied.
-	var seed []bdd.Var
-	for v, last := range lastUse {
-		if last == -1 {
-			seed = append(seed, v)
+	var seedVars []bdd.Var
+	for _, v := range quantifiable {
+		if lastUse[v] == -1 {
+			seedVars = append(seedVars, v)
 		}
 	}
-	ma.seedQuant = m.MkCube(seed)
+	return parts, m.MkCube(seedVars)
 }

@@ -10,14 +10,36 @@ import (
 // functional transition structure. All take and return sets over
 // current-state variables.
 
-// Image returns the set of states reachable in one transition from a
-// state in z: Image(τ, Z) = {v | ∃u. u ∈ Z ∧ τ(u, v)}.
-func (ma *Machine) Image(z bdd.Ref) bdd.Ref {
-	ma.mustBeSealed()
-	m := ma.M
-	acc := m.And(z, ma.constraint)
-	acc = m.Exists(acc, ma.seedQuant)
-	for _, p := range ma.transition {
+// Relation is a conjunctively partitioned transition relation with its
+// early-quantification schedule (ref [4]): the constraint an image
+// starts from, the seed cube quantified right after it, one part
+// next_i ≡ f_i per state bit, and the current/next variable pairs the
+// image renames between. A sealed machine's Image runs its own
+// relation; Reduce builds the FD method's.
+type Relation struct {
+	m          *bdd.Manager
+	constraint bdd.Ref
+	seed       bdd.Ref
+	parts      []part
+	cur, next  []bdd.Var
+}
+
+// newRelation schedules rels, one per cur/next pair, quantifying the
+// current-state and input variables.
+func newRelation(m *bdd.Manager, constraint bdd.Ref, rels []bdd.Ref, cur, next, inputs []bdd.Var) Relation {
+	r := Relation{m: m, constraint: constraint, cur: cur, next: next}
+	r.parts, r.seed = schedule(m, rels, append(append([]bdd.Var(nil), cur...), inputs...))
+	return r
+}
+
+// Image returns the set of states reachable in one step of r from a
+// state in z: ∃cur, inp. Z ∧ C ∧ ∧_i (next_i ≡ f_i), renamed back to
+// the current-state variables.
+func (r *Relation) Image(z bdd.Ref) bdd.Ref {
+	m := r.m
+	acc := m.And(z, r.constraint)
+	acc = m.Exists(acc, r.seed)
+	for _, p := range r.parts {
 		acc = m.AndExists(acc, p.rel, p.quant)
 		if acc == bdd.Zero {
 			return bdd.Zero
@@ -25,7 +47,47 @@ func (ma *Machine) Image(z bdd.Ref) bdd.Ref {
 	}
 	// acc is now over next-state variables; bring it back to the
 	// current-state space.
-	return m.Rename(acc, ma.next, ma.cur)
+	return m.Rename(acc, r.next, r.cur)
+}
+
+// Constraint returns the input constraint r's transitions satisfy.
+func (r *Relation) Constraint() bdd.Ref { return r.constraint }
+
+// Roots returns every function Image reads. A caller that collects the
+// manager while it still needs r passes these to bdd.GC along with its
+// own roots.
+func (r *Relation) Roots() []bdd.Ref {
+	roots := []bdd.Ref{r.constraint, r.seed}
+	for _, p := range r.parts {
+		roots = append(roots, p.rel, p.quant)
+	}
+	return roots
+}
+
+// Image returns the set of states reachable in one transition from a
+// state in z: Image(τ, Z) = {v | ∃u. u ∈ Z ∧ τ(u, v)}.
+func (ma *Machine) Image(z bdd.Ref) bdd.Ref {
+	ma.mustBeSealed()
+	return ma.fwd.Image(z)
+}
+
+// Reduce returns the forward relation of the machine with sigma
+// substituted into its input constraint and into the next-state
+// functions of keep, the state bits that remain: the reduced machine of
+// the FD method, where sigma defines the dropped bits over keep. Its
+// Image maps sets over keep to sets over keep.
+func (ma *Machine) Reduce(sigma *bdd.Substitution, keep []bdd.Var) *Relation {
+	ma.mustBeSealed()
+	m := ma.M
+	constraint := sigma.Compose(ma.constraint)
+	next := make([]bdd.Var, len(keep))
+	rels := make([]bdd.Ref, len(keep))
+	for i, c := range keep {
+		next[i] = ma.NextVar(c)
+		rels[i] = m.Xnor(m.VarRef(next[i]), sigma.Compose(ma.NextFn(c)))
+	}
+	r := newRelation(m, constraint, rels, keep, next, ma.inputs)
+	return &r
 }
 
 // PreImage returns the set of states with some successor in z:
@@ -134,7 +196,7 @@ func (ma *Machine) TransitionRelation() bdd.Ref {
 	ma.mustBeSealed()
 	m := ma.M
 	acc := ma.constraint
-	for _, p := range ma.transition {
+	for _, p := range ma.fwd.parts {
 		acc = m.And(acc, p.rel)
 	}
 	return m.Exists(acc, ma.inputCube)

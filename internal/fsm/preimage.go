@@ -100,52 +100,3 @@ func (ma *Machine) PreImageWithin(z bdd.Ref, within []bdd.Ref) bdd.Ref {
 	}
 	return m.Exists(acc, ma.inputCube)
 }
-
-// buildPrePartition computes the early-quantification schedule for the
-// backward direction: quantifiable variables are the next-state and
-// input variables; current-state variables survive into the result. The
-// seed of the chain is Z (renamed to next variables) conjoined with the
-// input constraint. Each part also records its quant variables and the
-// rest of its relation's support, for preChain's skip test.
-func (ma *Machine) buildPrePartition() {
-	m := ma.M
-	lastUse := make(map[bdd.Var]int)
-	for _, v := range ma.next {
-		lastUse[v] = -1
-	}
-	for _, v := range ma.inputs {
-		lastUse[v] = -1
-	}
-	supports := make([][]bdd.Var, len(ma.transition))
-	for i, p := range ma.transition {
-		supports[i] = m.Support(p.rel)
-		for _, v := range supports[i] {
-			if _, ok := lastUse[v]; ok {
-				lastUse[v] = i
-			}
-		}
-	}
-	ma.preTransition = make([]transPart, len(ma.transition))
-	for i, p := range ma.transition {
-		var cube []bdd.Var
-		for v, last := range lastUse {
-			if last == i {
-				cube = append(cube, v)
-			}
-		}
-		var rest []bdd.Var
-		for _, v := range supports[i] {
-			if last, ok := lastUse[v]; !ok || last != i {
-				rest = append(rest, v)
-			}
-		}
-		ma.preTransition[i] = transPart{rel: p.rel, quant: m.MkCube(cube), quantVars: cube, restVars: rest}
-	}
-	var seed []bdd.Var
-	for v, last := range lastUse {
-		if last == -1 {
-			seed = append(seed, v)
-		}
-	}
-	ma.preSeedQuant = m.MkCube(seed)
-}

@@ -22,17 +22,7 @@ func runBackward(c *runCtx, p Problem, opt Options) Result {
 
 	for i := 0; ; i++ {
 		if !m.Implies(init, g) {
-			peak, _ := c.Peak()
-			res := Result{
-				Outcome:        Violated,
-				Iterations:     i,
-				ViolationDepth: i,
-				PeakStateNodes: peak,
-			}
-			if opt.WantTrace {
-				res.Trace = traceFromLayers(ma, layers, init)
-			}
-			return res
+			return c.violated(i, i, func() *Trace { return traceFromLayers(ma, layers, init) })
 		}
 		if res, stop := c.Tick(i); stop {
 			return res
@@ -45,8 +35,7 @@ func runBackward(c *runCtx, p Problem, opt Options) Result {
 		conv := gn == g // canonical Ref equality: the fixpoint test is free
 		c.EmitTermResolved(conv)
 		if conv {
-			peak, _ := c.Peak()
-			return Result{Outcome: Verified, Iterations: i + 1, PeakStateNodes: peak}
+			return c.verified(i + 1)
 		}
 		g = gn
 		layers = append(layers, core.NewList(m, g))

@@ -15,9 +15,10 @@ import (
 // results report how far the run got (the partial numbers behind the
 // paper's "Exceeded 60MB" rows).
 //
-// Engines report progress through Tick and Observe and name the values
-// a collection must keep through Protect; the harness owns creation
-// and Result finalization.
+// Engines report progress through Tick and Observe, name the values a
+// collection must keep through Protect, and end with the verdicts
+// violated, verified or exhausted, which attach the progress; the
+// harness owns creation and Result finalization.
 type runCtx struct {
 	m       *bdd.Manager
 	opt     Options
@@ -25,7 +26,8 @@ type runCtx struct {
 	maxIter int
 	roots   []bdd.Ref
 
-	// Progress sink. Engines write via Tick/Observe; exhausted() reads.
+	// Progress sink. Engines write via Tick/Observe; the verdict
+	// builders read it.
 	iterations int
 	peak       int
 	profile    []int
@@ -135,9 +137,6 @@ func (c *runCtx) EmitTermResolved(converged bool) {
 	}
 }
 
-// Peak returns the largest iterate statistics observed so far.
-func (c *runCtx) Peak() (shared int, profile []int) { return c.peak, c.profile }
-
 // Tick marks the start of iteration i and enforces the iteration cap
 // and the wall/cancellation budget between image computations (the
 // manager's own strided checks additionally bound a single runaway
@@ -152,6 +151,25 @@ func (c *runCtx) Tick(i int) (Result, bool) {
 		return c.exhausted(err), true
 	}
 	return Result{}, false
+}
+
+// violated builds the Violated result for a shortest violating path of
+// the given depth, found after the given number of images, with the
+// peak iterate statistics observed so far. trace builds the
+// counterexample; it runs only when the options ask for one.
+func (c *runCtx) violated(iterations, depth int, trace func() *Trace) Result {
+	res := Result{Outcome: Violated, Iterations: iterations, ViolationDepth: depth,
+		PeakStateNodes: c.peak, PeakProfile: c.profile}
+	if c.opt.WantTrace {
+		res.Trace = trace()
+	}
+	return res
+}
+
+// verified builds the Verified result after the given number of images,
+// with the peak iterate statistics.
+func (c *runCtx) verified(iterations int) Result {
+	return Result{Outcome: Verified, Iterations: iterations, PeakStateNodes: c.peak, PeakProfile: c.profile}
 }
 
 // exhausted builds an Exhausted result carrying the typed overrun error

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bdd"
-	"repro/internal/fsm"
 )
 
 // runFD reconstructs the functional-dependency method of Hu & Dill
@@ -55,31 +54,27 @@ func runFD(c *runCtx, p Problem, opt Options) Result {
 	// refuted answers for the property once a declared dependency fails
 	// on a state of full[k], where full[0..k] are the full machine's
 	// exact onion rings.
-	refuted := func(full []bdd.Ref) Result {
+	refuted := func(full [][]bdd.Ref) Result {
 		k := len(full) - 1
-		peak, _ := c.Peak()
-		if !m.Implies(full[k], p.good()) {
-			res := Result{Outcome: Violated, Iterations: k, ViolationDepth: k, PeakStateNodes: peak}
-			if opt.WantTrace {
-				res.Trace = traceFromRings(ma, full, p.good().Not())
-			}
-			return res
+		last := full[k][0]
+		if !m.Implies(last, p.good()) {
+			return c.violated(k, k, func() *Trace { return traceFromRings(ma, full, p.good().Not()) })
 		}
 		var name string
 		for _, d := range p.Deps {
-			if !m.Implies(full[k], m.Xnor(m.VarRef(d.Var), d.Def)) {
+			if !m.Implies(last, m.Xnor(m.VarRef(d.Var), d.Def)) {
 				name = m.VarName(d.Var)
 				break
 			}
 		}
-		return Result{Outcome: Exhausted, Iterations: k, PeakStateNodes: peak,
+		return Result{Outcome: Exhausted, Iterations: k, PeakStateNodes: c.peak,
 			Why: fmt.Sprintf("declared dependency for %s fails on a reachable state at depth %d, where the property holds", name, k)}
 	}
 
 	// Step 1: the dependency must hold in every initial state.
 	for _, d := range p.Deps {
 		if !m.Implies(ma.Init(), m.Xnor(m.VarRef(d.Var), d.Def)) {
-			return refuted([]bdd.Ref{ma.Init()})
+			return refuted([][]bdd.Ref{{ma.Init()}})
 		}
 	}
 
@@ -106,13 +101,9 @@ func runFD(c *runCtx, p Problem, opt Options) Result {
 		}
 	}
 
-	red := buildReducedImage(ma, sigma, indep)
-	// red.image reads every one of these after each collection.
-	c.Protect(red.constraint)
-	c.Protect(red.seedQuant)
-	for _, part := range red.parts {
-		c.Protect(part.rel)
-		c.Protect(part.quant)
+	red := ma.Reduce(sigma, indep)
+	for _, r := range red.Roots() {
+		c.Protect(r)
 	}
 
 	goodRed := c.Protect(sigma.Compose(p.good()))
@@ -140,42 +131,36 @@ func runFD(c *runCtx, p Problem, opt Options) Result {
 	// dependency held inductively up to the last of them, so each lifted
 	// ring is exactly the corresponding full reachable iterate, and the
 	// standard onion-ring walk applies.
-	lift := func() []bdd.Ref {
-		lifted := make([]bdd.Ref, len(rings))
+	lift := func() [][]bdd.Ref {
+		lifted := make([][]bdd.Ref, len(rings))
 		for j, rr := range rings {
-			lifted[j] = m.And(rr, depRel)
+			lifted[j] = []bdd.Ref{m.And(rr, depRel)}
 		}
 		return lifted
 	}
 
 	for i := 0; ; i++ {
 		if !m.Implies(r, goodRed) {
-			peak, _ := c.Peak()
-			res := Result{Outcome: Violated, Iterations: i, ViolationDepth: i, PeakStateNodes: peak}
-			if opt.WantTrace {
-				res.Trace = traceFromRings(ma, lift(), p.good().Not())
-			}
-			return res
+			return c.violated(i, i, func() *Trace { return traceFromRings(ma, lift(), p.good().Not()) })
 		}
-		if m.AndN(r, red.constraint, badDep) != bdd.Zero {
+		if m.AndN(r, red.Constraint(), badDep) != bdd.Zero {
 			// A successor of ring i breaks the dependency: ring i+1 is
 			// the full machine's image of lifted ring i.
 			full := lift()
-			return refuted(append(full, ma.Image(full[i])))
+			return refuted(append(full, []bdd.Ref{ma.Image(full[i][0])}))
 		}
 		if res, stop := c.Tick(i); stop {
 			return res
 		}
 
 		stop := c.Phase(PhaseImage)
-		rn := c.Protect(m.Or(r, red.image(r)))
+		rn := c.Protect(m.Or(r, red.Image(r)))
 		stop()
 		c.Observe(m.Size(rn), nil)
 		conv := rn == r // canonical Ref equality: the fixpoint test is free
 		c.EmitTermResolved(conv)
 		if conv {
-			peak, _ := c.Peak()
-			return Result{Outcome: Verified, Iterations: i + 1, PeakStateNodes: peak}
+			return c.verified(i + 1)
 		}
 		r = rn
 		rings = append(rings, r)
@@ -189,85 +174,4 @@ func depVarsList(deps []Dependency) []bdd.Var {
 		out[i] = d.Var
 	}
 	return out
-}
-
-// reducedImage is the partitioned image computation of the reduced
-// machine (dependent bits substituted away), with the same
-// early-quantification scheduling as the full machine.
-type reducedImage struct {
-	ma         *fsm.Machine
-	constraint bdd.Ref
-	parts      []struct {
-		rel   bdd.Ref
-		quant bdd.Ref
-	}
-	seedQuant bdd.Ref
-	nextVars  []bdd.Var
-	curVars   []bdd.Var
-}
-
-func buildReducedImage(ma *fsm.Machine, sigma *bdd.Substitution, indep []bdd.Var) *reducedImage {
-	m := ma.M
-	red := &reducedImage{ma: ma, constraint: sigma.Compose(ma.InputConstraint()), curVars: indep}
-
-	red.parts = make([]struct{ rel, quant bdd.Ref }, len(indep))
-	support := make([][]bdd.Var, len(indep))
-	red.nextVars = make([]bdd.Var, len(indep))
-	for i, c := range indep {
-		red.nextVars[i] = ma.NextVar(c)
-		rel := m.Xnor(m.VarRef(red.nextVars[i]), sigma.Compose(ma.NextFn(c)))
-		red.parts[i].rel = rel
-		support[i] = m.Support(rel)
-	}
-
-	lastUse := make(map[bdd.Var]int)
-	for _, v := range indep {
-		lastUse[v] = -1
-	}
-	for _, v := range ma.InputVars() {
-		lastUse[v] = -1
-	}
-	isQuantifiable := func(v bdd.Var) bool {
-		_, ok := lastUse[v]
-		return ok
-	}
-	for i, sup := range support {
-		for _, v := range sup {
-			if isQuantifiable(v) {
-				lastUse[v] = i
-			}
-		}
-	}
-	for i := range red.parts {
-		var cube []bdd.Var
-		for v, last := range lastUse {
-			if last == i {
-				cube = append(cube, v)
-			}
-		}
-		red.parts[i].quant = m.MkCube(cube)
-	}
-	var seed []bdd.Var
-	for v, last := range lastUse {
-		if last == -1 {
-			seed = append(seed, v)
-		}
-	}
-	red.seedQuant = m.MkCube(seed)
-	return red
-}
-
-// image computes the reduced machine's forward image of z (a set over
-// the independent current-state variables).
-func (red *reducedImage) image(z bdd.Ref) bdd.Ref {
-	m := red.ma.M
-	acc := m.And(z, red.constraint)
-	acc = m.Exists(acc, red.seedQuant)
-	for _, p := range red.parts {
-		acc = m.AndExists(acc, p.rel, p.quant)
-		if acc == bdd.Zero {
-			return bdd.Zero
-		}
-	}
-	return m.Rename(acc, red.nextVars, red.curVars)
 }

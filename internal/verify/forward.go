@@ -17,22 +17,12 @@ func runForward(c *runCtx, p Problem, opt Options) Result {
 	good := c.Protect(p.good())
 
 	r := ma.Init()
-	rings := []bdd.Ref{r}
+	rings := [][]bdd.Ref{{r}}
 	c.Observe(m.Size(r), nil)
 
 	for i := 0; ; i++ {
 		if !m.Implies(r, good) {
-			peak, _ := c.Peak()
-			res := Result{
-				Outcome:        Violated,
-				Iterations:     i,
-				ViolationDepth: i,
-				PeakStateNodes: peak,
-			}
-			if opt.WantTrace {
-				res.Trace = traceFromRings(ma, rings, good.Not())
-			}
-			return res
+			return c.violated(i, i, func() *Trace { return traceFromRings(ma, rings, good.Not()) })
 		}
 		if res, stop := c.Tick(i); stop {
 			return res
@@ -45,11 +35,10 @@ func runForward(c *runCtx, p Problem, opt Options) Result {
 		conv := rn == r // canonical Ref equality: the fixpoint test is free
 		c.EmitTermResolved(conv)
 		if conv {
-			peak, _ := c.Peak()
-			return Result{Outcome: Verified, Iterations: i + 1, PeakStateNodes: peak}
+			return c.verified(i + 1)
 		}
 		r = rn
-		rings = append(rings, r)
+		rings = append(rings, []bdd.Ref{r})
 		c.MaybeGC(i)
 	}
 }

@@ -3,7 +3,6 @@ package verify
 import (
 	"repro/internal/bdd"
 	"repro/internal/core"
-	"repro/internal/fsm"
 )
 
 // ForwardID is the dual of the paper's method, from the Section II.A
@@ -26,24 +25,13 @@ func runForwardID(c *runCtx, p Problem, opt Options) Result {
 	term := c.Termination()
 	copt := c.CoreOptions()
 
-	r := []bdd.Ref{ma.Init()}
-	rings := [][]bdd.Ref{r}
-	c.Observe(listStats(m, r))
+	r := core.List{M: m, Conjuncts: []bdd.Ref{ma.Init()}}
+	rings := [][]bdd.Ref{r.Conjuncts}
+	c.Observe(r.SharedSize(), r.Sizes())
 
 	for i := 0; ; i++ {
-		if d, g := disjViolation(m, r, goods); d >= 0 {
-			peak, profile := c.Peak()
-			res := Result{
-				Outcome:        Violated,
-				Iterations:     i,
-				ViolationDepth: i,
-				PeakStateNodes: peak,
-				PeakProfile:    profile,
-			}
-			if opt.WantTrace {
-				res.Trace = traceFromDisjRings(ma, rings, goods[g])
-			}
-			return res
+		if g := disjViolation(m, r.Conjuncts, goods); g >= 0 {
+			return c.violated(i, i, func() *Trace { return traceFromRings(ma, rings, goods[g].Not()) })
 		}
 		if res, stop := c.Tick(i); stop {
 			return res
@@ -52,133 +40,76 @@ func runForwardID(c *runCtx, p Problem, opt Options) Result {
 		// R_{i+1} = R_i ∨ Image(R_i), with Image distributed over the
 		// disjuncts, then the dual Section III.A policy.
 		stop := c.Phase(PhaseImage)
-		next := append([]bdd.Ref(nil), r...)
-		for _, d := range r {
+		next := append([]bdd.Ref(nil), r.Conjuncts...)
+		for _, d := range r.Conjuncts {
 			next = append(next, ma.Image(d))
 		}
 		stop()
 		stop = c.Phase(PhasePolicy)
 		rn := dualSimplifyAndEvaluate(m, next, copt)
 		stop()
-		for _, d := range rn {
-			c.Protect(d)
-		}
-		c.Observe(listStats(m, rn))
+		protectList(c, rn)
+		c.Observe(rn.SharedSize(), rn.Sizes())
 
 		stop = c.Phase(PhaseTerm)
 		conv := disjConverged(term, opt.Termination, r, rn)
 		stop()
 		c.EmitTermResolved(conv)
 		if conv {
-			peak, profile := c.Peak()
-			return Result{Outcome: Verified, Iterations: i + 1, PeakStateNodes: peak, PeakProfile: profile}
+			return c.verified(i + 1)
 		}
 		r = rn
-		rings = append(rings, r)
+		rings = append(rings, r.Conjuncts)
 		c.MaybeGC(i)
 	}
 }
 
-// disjViolation returns (disjunct index, good index) of a witness that
-// some reached state escapes the property, or (-1, -1).
-func disjViolation(m *bdd.Manager, disjuncts, goods []bdd.Ref) (int, int) {
-	for di, d := range disjuncts {
+// disjViolation returns the index of a property conjunct some reached
+// state escapes, or -1.
+func disjViolation(m *bdd.Manager, disjuncts, goods []bdd.Ref) int {
+	for _, d := range disjuncts {
 		for gi, g := range goods {
 			if !m.Implies(d, g) {
-				return di, gi
+				return gi
 			}
 		}
 	}
-	return -1, -1
+	return -1
+}
+
+// negate complements every element: ∨ds = ¬∧negate(ds).
+func negate(ds []bdd.Ref) []bdd.Ref {
+	neg := make([]bdd.Ref, len(ds))
+	for i, d := range ds {
+		neg[i] = d.Not()
+	}
+	return neg
 }
 
 // dualSimplifyAndEvaluate applies the conjunction-list policy to the
 // negated disjuncts: ∨d_i = ¬(∧¬d_i), and the policy preserves the
-// conjunction it is given, hence the disjunction too.
-func dualSimplifyAndEvaluate(m *bdd.Manager, disjuncts []bdd.Ref, opt core.Options) []bdd.Ref {
-	neg := make([]bdd.Ref, len(disjuncts))
-	for i, d := range disjuncts {
-		neg[i] = d.Not()
-	}
-	out := core.SimplifyAndEvaluate(core.NewList(m, neg...), opt)
-	if out.IsFalse() {
+// conjunction it is given, hence the disjunction too. The result is
+// the list of the new disjuncts.
+func dualSimplifyAndEvaluate(m *bdd.Manager, disjuncts []bdd.Ref, opt core.Options) core.List {
+	out := core.SimplifyAndEvaluate(core.NewList(m, negate(disjuncts)...), opt)
+	switch {
+	case out.IsFalse():
 		// ∧¬d = false means the disjunction covers everything.
-		return []bdd.Ref{bdd.One}
-	}
-	res := make([]bdd.Ref, len(out.Conjuncts))
-	for i, c := range out.Conjuncts {
-		res[i] = c.Not()
-	}
-	if len(res) == 0 {
+		return core.List{M: m, Conjuncts: []bdd.Ref{bdd.One}}
+	case out.IsTrue():
 		// Empty conjunction of negations: the disjunction is empty.
-		return []bdd.Ref{bdd.Zero}
+		return core.List{M: m, Conjuncts: []bdd.Ref{bdd.Zero}}
 	}
-	return res
+	return core.List{M: m, Conjuncts: negate(out.Conjuncts)}
 }
 
-// disjConverged tests R_{i+1} ⊆ R_i (the sequence grows monotonically,
-// so one inclusion certifies the fixpoint): ∨X ⊆ ∨Y iff ∧¬Y ⇒ ∧¬X.
-func disjConverged(term core.Termination, mode TerminationMode, r, rn []bdd.Ref) bool {
+// disjConverged tests R_{i+1} ⊆ R_i for disjunct lists (the sequence
+// grows monotonically, so one inclusion certifies the fixpoint):
+// ∨X ⊆ ∨Y iff ∧¬Y ⇒ ∧¬X.
+func disjConverged(term core.Termination, mode TerminationMode, r, rn core.List) bool {
 	if mode == TermFast {
-		if len(r) != len(rn) {
-			return false
-		}
-		for i := range r {
-			if r[i] != rn[i] {
-				return false
-			}
-		}
-		return true
+		return core.FastListsEqual(r, rn)
 	}
-	m := term.M
-	negR := make([]bdd.Ref, len(r))
-	for i, d := range r {
-		negR[i] = d.Not()
-	}
-	negRn := make([]bdd.Ref, len(rn))
-	for i, d := range rn {
-		negRn[i] = d.Not()
-	}
-	return term.ListImplies(core.List{M: m, Conjuncts: negR}, core.List{M: m, Conjuncts: negRn})
-}
-
-// traceFromDisjRings reconstructs a counterexample from the disjunction
-// onion rings: rings[i] is the list of disjuncts of R_i, and badGood is
-// a property conjunct violated at the last ring.
-func traceFromDisjRings(ma *fsm.Machine, rings [][]bdd.Ref, badGood bdd.Ref) *Trace {
-	m := ma.M
-	k := len(rings) - 1
-
-	pickIn := func(ring []bdd.Ref, constraint bdd.Ref) []bool {
-		for _, d := range ring {
-			if set := m.And(d, constraint); set != bdd.Zero {
-				return m.SatAssignment(set)
-			}
-		}
-		return nil
-	}
-
-	states := make([][]bool, k+1)
-	states[k] = pickIn(rings[k], badGood.Not())
-	if states[k] == nil {
-		panic("verify: traceFromDisjRings called without a violation")
-	}
-	target := stateCube(ma, states[k])
-	for i := k - 1; i >= 0; i-- {
-		states[i] = pickIn(rings[i], ma.PreImage(target))
-		if states[i] == nil {
-			panic("verify: disjunction onion-ring invariant broken")
-		}
-		target = stateCube(ma, states[i])
-	}
-
-	inputs := make([][]bool, k)
-	for i := 0; i < k; i++ {
-		in, ok := ma.PickTransitionInto(states[i], stateCube(ma, states[i+1]))
-		if !ok {
-			panic("verify: no input realizes a recorded transition")
-		}
-		inputs[i] = in
-	}
-	return &Trace{States: states, Inputs: inputs}
+	return term.ListImplies(core.List{M: r.M, Conjuncts: negate(r.Conjuncts)},
+		core.List{M: r.M, Conjuncts: negate(rn.Conjuncts)})
 }

@@ -24,26 +24,15 @@ func runICI(c *runCtx, p Problem, opt Options) Result {
 
 	init := ma.Init()
 
-	g0 := append([]bdd.Ref(nil), p.goodList()...)
-	g := append([]bdd.Ref(nil), g0...)
+	g0 := p.goodList()
+	g := core.List{M: m, Conjuncts: g0}
 
-	layers := []core.List{{M: m, Conjuncts: append([]bdd.Ref(nil), g...)}}
-	c.Observe(listStats(m, g))
+	layers := []core.List{g}
+	c.Observe(g.SharedSize(), g.Sizes())
 
 	for i := 0; ; i++ {
-		if vi := violatingConjunct(m, init, g); vi >= 0 {
-			peak, profile := c.Peak()
-			res := Result{
-				Outcome:        Violated,
-				Iterations:     i,
-				ViolationDepth: i,
-				PeakStateNodes: peak,
-				PeakProfile:    profile,
-			}
-			if opt.WantTrace {
-				res.Trace = traceFromLayers(ma, layers, init)
-			}
-			return res
+		if !g.ContainsSet(init) {
+			return c.violated(i, i, func() *Trace { return traceFromLayers(ma, layers, init) })
 		}
 		if res, stop := c.Tick(i); stop {
 			if errors.Is(res.Err, resource.ErrIterLimit) {
@@ -56,59 +45,27 @@ func runICI(c *runCtx, p Problem, opt Options) Result {
 		// The conjunction over j equals G_0 ∧ BackImage(G_i) by
 		// Theorem 1, whatever the pairing.
 		stop := c.Phase(PhaseImage)
-		back := ma.BackImageList(g)
-		gn := make([]bdd.Ref, len(g))
-		for j := range g {
-			gn[j] = m.And(g0[j], back[j])
+		back := ma.BackImageList(g.Conjuncts)
+		gn := core.List{M: m, Conjuncts: make([]bdd.Ref, len(back))}
+		for j := range back {
+			gn.Conjuncts[j] = m.And(g0[j], back[j])
 		}
 		stop()
 		stop = c.Phase(PhasePolicy)
-		core.CrossSimplifyPositional(m, gn, opt.Core.Simplifier)
+		core.CrossSimplifyPositional(m, gn.Conjuncts, opt.Core.Simplifier)
 		stop()
-		for _, cj := range gn {
-			c.Protect(cj)
-		}
+		protectList(c, gn)
 
-		c.Observe(listStats(m, gn))
+		c.Observe(gn.SharedSize(), gn.Sizes())
 
 		// Fast (inexact) termination test: positional Ref equality.
-		same := true
-		for j := range g {
-			if gn[j] != g[j] {
-				same = false
-				break
-			}
-		}
+		same := core.FastListsEqual(g, gn)
 		c.EmitTermResolved(same)
 		if same {
-			peak, profile := c.Peak()
-			return Result{Outcome: Verified, Iterations: i + 1, PeakStateNodes: peak, PeakProfile: profile}
+			return c.verified(i + 1)
 		}
 		g = gn
-		layers = append(layers, core.List{M: m, Conjuncts: append([]bdd.Ref(nil), g...)})
+		layers = append(layers, g)
 		c.MaybeGC(i)
 	}
-}
-
-// violatingConjunct returns the index of a conjunct not containing init,
-// or -1.
-func violatingConjunct(m *bdd.Manager, init bdd.Ref, g []bdd.Ref) int {
-	for i, c := range g {
-		if !m.Implies(init, c) {
-			return i
-		}
-	}
-	return -1
-}
-
-// listStats returns the shared size and per-conjunct profile of a list.
-func listStats(m *bdd.Manager, g []bdd.Ref) (int, []int) {
-	if len(g) == 0 {
-		return 1, nil
-	}
-	profile := make([]int, len(g))
-	for i, c := range g {
-		profile[i] = m.Size(c)
-	}
-	return m.SharedSize(g...), profile
 }

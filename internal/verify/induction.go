@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"repro/internal/bdd"
 	"repro/internal/core"
 )
 
@@ -26,28 +25,21 @@ func runInduction(c *runCtx, p Problem, opt Options) Result {
 	ma := p.Machine
 	m := ma.M
 
-	goods := p.goodList()
+	goods := core.List{M: m, Conjuncts: p.goodList()}
 	init := ma.Init()
 
 	// Base case.
-	if vi := violatingConjunct(m, init, goods); vi >= 0 {
-		res := Result{Outcome: Violated, Iterations: 0, ViolationDepth: 0}
-		if opt.WantTrace {
-			layer := core.List{M: m, Conjuncts: goods}
-			res.Trace = traceFromLayers(ma, []core.List{layer}, init)
-		}
-		return res
+	if !goods.ContainsSet(init) {
+		return c.violated(0, 0, func() *Trace { return traceFromLayers(ma, []core.List{goods}, init) })
 	}
 
 	// Inductive step, per conjunct: P ∧ ¬BackImage(P_j) must be empty
 	// for every conjunct P_j (P as an implicit conjunction never gets
 	// built). The cross-simplified conjuncts keep the BackImages small.
 	stop := c.Phase(PhasePolicy)
-	simplified := core.CrossSimplify(core.List{M: m, Conjuncts: append([]bdd.Ref(nil), goods...)},
-		opt.Core.Simplifier)
+	simplified := core.CrossSimplify(goods, opt.Core.Simplifier)
 	stop()
-	c.Observe(listStats(m, simplified.Conjuncts))
-	peak, profile := c.Peak()
+	c.Observe(simplified.SharedSize(), simplified.Sizes())
 
 	term := c.Termination()
 	for _, pj := range simplified.Conjuncts {
@@ -64,11 +56,11 @@ func runInduction(c *runCtx, p Problem, opt Options) Result {
 			return Result{
 				Outcome:        Exhausted,
 				Iterations:     1,
-				PeakStateNodes: peak,
-				PeakProfile:    profile,
+				PeakStateNodes: c.peak,
+				PeakProfile:    c.profile,
 				Why:            "property is not inductive; use a traversal engine (Fwd/Bkwd/XICI)",
 			}
 		}
 	}
-	return Result{Outcome: Verified, Iterations: 1, PeakStateNodes: peak, PeakProfile: profile}
+	return c.verified(1)
 }

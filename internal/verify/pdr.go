@@ -55,11 +55,7 @@ func runPDR(c *runCtx, p Problem, opt Options) Result {
 
 	// Depth 0: an initial state may already violate the property.
 	if s := pdrBadIn(m, init, goods); s != nil {
-		res := Result{Outcome: Violated, Iterations: 0, ViolationDepth: 0}
-		if opt.WantTrace {
-			res.Trace = &Trace{States: [][]bool{s}}
-		}
-		return res
+		return c.violated(0, 0, func() *Trace { return traceAlong(ma, [][]bool{s}) })
 	}
 
 	e := &pdrRun{
@@ -89,26 +85,14 @@ func runPDR(c *runCtx, p Problem, opt Options) Result {
 			}
 			chain, blocked := e.block(bad, k)
 			if !blocked {
-				peak, profile := c.Peak()
-				res := Result{
-					Outcome:        Violated,
-					Iterations:     k,
-					ViolationDepth: len(chain) - 1,
-					PeakStateNodes: peak,
-					PeakProfile:    profile,
-				}
-				if opt.WantTrace {
-					res.Trace = e.traceFromChain(chain)
-				}
-				return res
+				return c.violated(k, len(chain)-1, func() *Trace { return traceAlong(ma, chain) })
 			}
 		}
 
 		// Open F_{k+1}, push clauses forward, and look for a fixpoint.
 		e.frames = append(e.frames, core.NewList(m))
 		if e.propagate(k) {
-			peak, profile := c.Peak()
-			return Result{Outcome: Verified, Iterations: k, PeakStateNodes: peak, PeakProfile: profile}
+			return c.verified(k)
 		}
 		c.Observe(e.frames[k].SharedSize(), e.frames[k].Sizes())
 		c.MaybeGC(k)
@@ -278,19 +262,4 @@ func (e *pdrRun) propagate(k int) bool {
 		}
 	}
 	return false
-}
-
-// traceFromChain turns an obligation chain (initial state first) into a
-// validated counterexample by choosing inputs realizing each recorded
-// transition.
-func (e *pdrRun) traceFromChain(chain [][]bool) *Trace {
-	t := &Trace{States: chain}
-	for i := 0; i+1 < len(chain); i++ {
-		in, ok := e.ma.PickTransitionInto(chain[i], stateCube(e.ma, chain[i+1]))
-		if !ok {
-			panic("verify: pdr: no input realizes a recorded transition")
-		}
-		t.Inputs = append(t.Inputs, in)
-	}
-	return t
 }

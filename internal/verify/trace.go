@@ -128,31 +128,38 @@ func stateCube(ma *fsm.Machine, a []bool) bdd.Ref {
 }
 
 // traceFromRings reconstructs a counterexample from forward onion rings
-// rings[0..k] (rings[i] = R_i) where rings[k] intersects ¬good.
-func traceFromRings(ma *fsm.Machine, rings []bdd.Ref, bad bdd.Ref) *Trace {
+// rings[0..k], each a list of disjuncts (a monolithic ring is a
+// one-element list), where rings[k] meets bad. It walks backwards: a
+// state of rings[k] in bad, then at each step a predecessor of the last
+// state inside the ring before. traceAlong then picks the inputs.
+func traceFromRings(ma *fsm.Machine, rings [][]bdd.Ref, bad bdd.Ref) *Trace {
 	m := ma.M
 	k := len(rings) - 1
-
-	// Walk backwards: pick s_k in R_k ∧ bad, then predecessors inside
-	// successive rings.
 	states := make([][]bool, k+1)
-	states[k] = m.SatAssignment(m.And(rings[k], bad))
-	if states[k] == nil {
-		panic("verify: traceFromRings called without a violation")
-	}
-	target := stateCube(ma, states[k])
-	for i := k - 1; i >= 0; i-- {
-		pred := m.And(rings[i], ma.PreImage(target))
-		states[i] = m.SatAssignment(pred)
-		if states[i] == nil {
-			panic("verify: onion-ring invariant broken (no predecessor)")
+	set := bad
+	for i := k; i >= 0; i-- {
+		for _, d := range rings[i] {
+			if in := m.And(d, set); in != bdd.Zero {
+				states[i] = m.SatAssignment(in)
+				break
+			}
 		}
-		target = stateCube(ma, states[i])
+		if states[i] == nil {
+			panic(fmt.Sprintf("verify: onion-ring invariant broken (no state in ring %d)", i))
+		}
+		target := stateCube(ma, states[i])
+		if i > 0 {
+			set = ma.PreImage(target)
+		}
 	}
+	return traceAlong(ma, states)
+}
 
-	// Walk forwards choosing concrete inputs.
-	inputs := make([][]bool, k)
-	for i := 0; i < k; i++ {
+// traceAlong turns a path of concrete states, initial state first, into
+// a trace by choosing inputs that realize each of its transitions.
+func traceAlong(ma *fsm.Machine, states [][]bool) *Trace {
+	inputs := make([][]bool, len(states)-1)
+	for i := range inputs {
 		in, ok := ma.PickTransitionInto(states[i], stateCube(ma, states[i+1]))
 		if !ok {
 			panic("verify: no input realizes a recorded transition")

@@ -40,19 +40,8 @@ func runXICI(c *runCtx, p Problem, opt Options) Result {
 	c.Observe(g.SharedSize(), g.Sizes())
 
 	for i := 0; ; i++ {
-		if vi := g.ViolatingConjunct(init); vi >= 0 {
-			peak, profile := c.Peak()
-			res := Result{
-				Outcome:        Violated,
-				Iterations:     i,
-				ViolationDepth: i,
-				PeakStateNodes: peak,
-				PeakProfile:    profile,
-			}
-			if opt.WantTrace {
-				res.Trace = traceFromLayers(ma, layers, init)
-			}
-			return res
+		if !g.ContainsSet(init) {
+			return c.violated(i, i, func() *Trace { return traceFromLayers(ma, layers, init) })
 		}
 		if res, stop := c.Tick(i); stop {
 			return res
@@ -77,8 +66,7 @@ func runXICI(c *runCtx, p Problem, opt Options) Result {
 		stop()
 		c.EmitTermResolved(conv)
 		if conv {
-			peak, profile := c.Peak()
-			return Result{Outcome: Verified, Iterations: i + 1, PeakStateNodes: peak, PeakProfile: profile}
+			return c.verified(i + 1)
 		}
 		g = gn
 		layers = append(layers, g)
