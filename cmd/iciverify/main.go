@@ -148,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// icibench cells do, so no row's peak live nodes, mem= or wall time
 	// includes an earlier engine's nodes or its warm cache.
 	newProblem := func() (*bdd.Manager, verify.Problem, error) {
-		m := bdd.NewWithSize(1<<16, 20)
+		m := bdd.New()
 		p, err := instantiate(m)
 		if err == nil && *compose {
 			p.Machine.PreImageMode = fsm.PreCompose

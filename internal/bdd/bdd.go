@@ -143,14 +143,16 @@ type Manager struct {
 	xferCur uint32
 }
 
-// DefaultCacheBits is the log2 of the default computed-cache size.
-const DefaultCacheBits = 16
-
-// New creates an empty Manager with the default cache size.
-func New() *Manager { return NewWithSize(1024, DefaultCacheBits) }
+// New creates an empty Manager sized for a small job: room for 1024
+// nodes and a computed cache of 2^16 entries (1.5 MB). Both grow with
+// the unique table as the job needs (see growBuckets), so every caller
+// starts here.
+func New() *Manager { return NewWithSize(1024, 16) }
 
 // NewWithSize creates a Manager with an initial node capacity and a
-// computed cache of 2^cacheBits entries.
+// computed cache of 2^cacheBits entries. Only the benchmark's
+// in-process workloads (bench/inproc.go) still pick their own start;
+// everything else calls New.
 func NewWithSize(nodeCap int, cacheBits uint) *Manager {
 	if nodeCap < 16 {
 		nodeCap = 16

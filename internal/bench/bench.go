@@ -74,7 +74,7 @@ type CellResult struct {
 // sentinel survives the inheritance step and is then normalized to the
 // truly unbounded zero value.
 func RunCell(ctx context.Context, c Cell, budget Budget) CellResult {
-	m := bdd.NewWithSize(1<<16, 20)
+	m := bdd.New()
 	p := c.Build(m)
 	opt := c.Opt
 	if opt.Budget.NodeLimit == 0 {
