@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,11 +20,13 @@ import (
 )
 
 // clusterNode is one member of an in-process icid cluster: a real TCP
-// listener (so peers can reach it), its Server, and its Cluster state.
+// listener (so peers can reach it), its Server, its Cluster state, and
+// the number of its POST handlers still running.
 type clusterNode struct {
-	addr string
-	srv  *Server
-	cl   *cluster.Cluster
+	addr  string
+	srv   *Server
+	cl    *cluster.Cluster
+	posts atomic.Int64
 }
 
 func (n *clusterNode) url() string { return "http://" + n.addr }
@@ -58,9 +61,17 @@ func startClusterNodes(t *testing.T, n int, cfgFor func(i int) Config) []*cluste
 		}
 		cfg.Cluster = cl
 		srv := New(cfg)
-		hs := &http.Server{Handler: srv.Handler()}
+		node := &clusterNode{addr: addrs[i], srv: srv, cl: cl}
+		h := srv.Handler()
+		hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				node.posts.Add(1)
+				defer node.posts.Add(-1)
+			}
+			h.ServeHTTP(w, r)
+		})}
 		go hs.Serve(listeners[i])
-		nodes[i] = &clusterNode{addr: addrs[i], srv: srv, cl: cl}
+		nodes[i] = node
 		t.Cleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
@@ -263,6 +274,74 @@ func TestClusterOwnerDownFallsBackLocally(t *testing.T) {
 	}
 	if cl.Alive(deadAddr) {
 		t.Fatal("dead peer still believed alive after a failed forward")
+	}
+}
+
+// A client that hangs up while its submission is being forwarded says
+// nothing about the owner: the entry node must neither mark the owner
+// down nor run the submission itself for a client that is gone.
+func TestClusterClientHangUpDuringForward(t *testing.T) {
+	nodes := startClusterNodes(t, 2, nil)
+	// FIFO depth 10 under Fwd runs for seconds, so the hop is still open
+	// when the client leaves.
+	req := SubmitRequest{Builtin: "fifo", Params: map[string]int{"depth": 10}, Engine: "Fwd", Wait: true}
+	cp := req
+	identity, err := normalizeModel(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerAddr, _ := nodes[0].cl.OwnerOf(identity)
+	owner, entry := nodes[0], nodes[1]
+	if owner.addr != ownerAddr {
+		owner, entry = entry, owner
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	buf, _ := json.Marshal(req)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, entry.url()+"/jobs", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	sent := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hreq)
+		if err == nil {
+			resp.Body.Close()
+		}
+		sent <- err
+	}()
+	// Hang up once the owner holds the forwarded submission.
+	waitFor(t, "the forward to reach the owner", func() bool {
+		return metricInt(t, getDoc(t, owner.url()+"/metrics"), "forwarded_in") == 1
+	})
+	cancel()
+	if err := <-sent; err == nil {
+		t.Fatal("the canceled submission got a response")
+	}
+	waitFor(t, "the entry node's handler to return", func() bool { return entry.posts.Load() == 0 })
+
+	met := getDoc(t, entry.url()+"/metrics")
+	for _, key := range []string{"submitted", "attempts", "forward_fallbacks"} {
+		if got := metricInt(t, met, key); got != 0 {
+			t.Errorf("entry node %s = %d, want 0", key, got)
+		}
+	}
+	for _, p := range entry.cl.Status().Peers {
+		if p.Failures != 0 {
+			t.Errorf("entry node counts %d failures of %s (%s)", p.Failures, p.Addr, p.LastError)
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

@@ -26,9 +26,10 @@ func (s *Server) nodeName() string {
 
 // routeRemote decides where a submission runs. It returns true when the
 // request was proxied to its owning peer and the response has been
-// written; false means "execute locally" — because clustering is off,
-// this node owns the key, the request already forwarded once, or the
-// owner is down (local-execution fallback, counted).
+// written, or when the client hung up during the hop; false means
+// "execute locally" — because clustering is off, this node owns the
+// key, the request already forwarded once, or the owner is down
+// (local-execution fallback, counted).
 func (s *Server) routeRemote(w http.ResponseWriter, r *http.Request, key string, body []byte, path string) bool {
 	c := s.cluster
 	if c == nil {
@@ -46,32 +47,39 @@ func (s *Server) routeRemote(w http.ResponseWriter, r *http.Request, key string,
 		s.met.forwardFallbacks.Add(1)
 		return false
 	}
-	if !s.proxy(w, r, owner, path, body) {
+	switch err := s.proxy(w, r, owner, path, body); {
+	case err == nil:
+		s.met.forwardedOut.Add(1)
+		return true
+	case r.Context().Err() != nil:
+		// The client hung up during the hop: the owner is not at fault,
+		// and nobody is left to run the submission for.
+		return true
+	default:
 		// Transport failure: the peer is marked down (so the very next
 		// submission skips it) and this one runs here.
+		c.ReportFailure(owner, err)
 		s.met.forwardFallbacks.Add(1)
 		return false
 	}
-	s.met.forwardedOut.Add(1)
-	return true
 }
 
 // proxy replays the raw submission body against the owning peer and
 // copies its response through verbatim — status, content type, body —
 // so wait-mode semantics, NDJSON framing, and error shapes survive the
-// hop. It returns false only on a transport error (peer unreachable);
-// any HTTP response from the peer, success or failure, passes through.
-func (s *Server) proxy(w http.ResponseWriter, r *http.Request, owner, path string, body []byte) bool {
+// hop. It returns an error only when no response arrived: the peer is
+// unreachable, or the client's request context ended. Any HTTP response
+// from the peer, success or failure, passes through.
+func (s *Server) proxy(w http.ResponseWriter, r *http.Request, owner, path string, body []byte) error {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, cluster.BaseURL(owner)+path, bytes.NewReader(body))
 	if err != nil {
-		return false
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ForwardHeader, s.nodeName())
 	resp, err := s.forward.Do(req)
 	if err != nil {
-		s.cluster.ReportFailure(owner, err)
-		return false
+		return err
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -79,7 +87,7 @@ func (s *Server) proxy(w http.ResponseWriter, r *http.Request, owner, path strin
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return true
+	return nil
 }
 
 // batchKey is the routing key of a whole batch: the hash of every
