@@ -21,13 +21,14 @@ var shadowDefs = []struct {
 }
 
 // addShadow adds to mo a state bit "fdshadow" and the declaration
-// (dep fdshadow DEF), DEF a random function of two of mo's state bits.
-// When holds, the shadow's next function is DEF applied to those bits'
-// next functions and its initial value is DEF of their initial values,
-// so the declaration holds on every reachable state. Otherwise one of
-// the two is wrong: the shadow runs a step late, negated, or from the
-// wrong initial value. When read, the property gains the conjunct
-// fdshadow ⇒ l for a random state literal l.
+// (dep fdshadow DEF), DEF a random function of two of mo's state bits;
+// half the time one of mo's next-state functions also reads the
+// shadow. When holds, the shadow's next function is DEF applied to
+// those two bits' next functions and its initial value is DEF of their
+// initial values, so the declaration holds on every reachable state.
+// Otherwise one of the two is wrong: the shadow runs a step late,
+// negated, or from the wrong initial value. When read, the property
+// gains the conjunct fdshadow ⇒ l for a random state literal l.
 func addShadow(t *testing.T, mo *ir.Model, rng *rand.Rand, holds, read bool) {
 	t.Helper()
 	var states []*ir.State
@@ -49,6 +50,12 @@ func addShadow(t *testing.T, mo *ir.Model, rng *rand.Rand, holds, read bool) {
 	}
 	a, b := states[rng.Intn(len(states))], states[rng.Intn(len(states))]
 	def := shadowDefs[rng.Intn(len(shadowDefs))]
+	if rng.Intn(2) == 0 {
+		// Another bit reads the shadow, so FD's reduced next-state
+		// functions differ from the machine's own.
+		r := states[rng.Intn(len(states))]
+		r.Next = ir.Xor(r.Next, ir.And(ir.Var("fdshadow"), ir.Var(states[rng.Intn(len(states))].Name)))
+	}
 	shadow := &ir.State{Name: "fdshadow", Init: def.eval(a.Init, b.Init), Next: def.node(a.Next, b.Next)}
 	declared := def.node(ir.Var(a.Name), ir.Var(b.Name))
 	if !holds {

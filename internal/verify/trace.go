@@ -147,6 +147,9 @@ func traceFromRings(ma *fsm.Machine, rings [][]bdd.Ref, bad bdd.Ref) *Trace {
 		if states[i] == nil {
 			panic(fmt.Sprintf("verify: onion-ring invariant broken (no state in ring %d)", i))
 		}
+		// The cube of s_0 is built too, though no PreImage follows: on a
+		// depth-0 violation nothing else builds it, and the node peak of
+		// a traced run has always included it.
 		target := stateCube(ma, states[i])
 		if i > 0 {
 			set = ma.PreImage(target)
