@@ -171,5 +171,6 @@ func runOne(params difftest.Params, cfg difftest.Config) (difftest.Report, error
 	if err != nil {
 		return difftest.Report{}, err
 	}
+	defer inst.Close()
 	return difftest.RunInstance(inst, cfg), nil
 }

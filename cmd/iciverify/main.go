@@ -156,6 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return m, p, err
 	}
 	m, p, err := newProblem()
+	defer func() { m.Close() }() // the last engine's manager; the loop closes the others
 	if err != nil {
 		fmt.Fprintf(stderr, "iciverify: %v\n", err)
 		return 2
@@ -242,6 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exit := 0
 	for i, meth := range methods {
 		if i > 0 {
+			m.Close()
 			if m, p, err = newProblem(); err != nil {
 				fmt.Fprintf(stderr, "iciverify: %v\n", err)
 				return 2

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/resource"
@@ -109,6 +110,7 @@ type Stats struct {
 // Manager that produced them; mixing Refs across Managers is a programming
 // error that this package does not attempt to detect.
 type Manager struct {
+	mem        *tableMem // mappings behind the three tables below
 	nodes      []node
 	free       int32 // head of free list (-1 if empty)
 	freeCount  int
@@ -158,12 +160,14 @@ func NewWithSize(nodeCap int, cacheBits uint) *Manager {
 		nodeCap = 16
 	}
 	m := &Manager{
+		mem:   new(tableMem),
 		nodes: make([]node, 1, nodeCap),
 		free:  -1,
 	}
 	m.nodes[0] = node{level: terminalLevel, low: One, high: One, next: -1}
+	m.growNodes(nodeCap)
 	m.initBuckets(1 << 10)
-	m.cache.init(cacheBits)
+	m.cache.init(m.mem, cacheBits)
 	m.stats.Nodes = 1
 	m.stats.PeakNodes = 1
 	return m
@@ -234,7 +238,11 @@ func (m *Manager) NVarRef(v Var) Ref { return m.VarRef(v).Not() }
 
 // Level returns the ordering level of the top variable of r, or
 // math.MaxUint32 for constants.
-func (m *Manager) Level(r Ref) uint32 { return m.nodes[r.index()].level }
+func (m *Manager) Level(r Ref) uint32 {
+	l := m.nodes[r.index()].level
+	runtime.KeepAlive(m) // m's tables may be mappings, unmapped once m is unreachable
+	return l
+}
 
 // TopVar returns the top variable of r. It panics on constants.
 func (m *Manager) TopVar(r Ref) Var {
@@ -252,7 +260,9 @@ func (m *Manager) Low(r Ref) Ref {
 	if n.level == terminalLevel {
 		panic("bdd: Low of constant")
 	}
-	return n.low ^ (r & 1)
+	lo := n.low ^ (r & 1)
+	runtime.KeepAlive(m)
+	return lo
 }
 
 // High returns the then-cofactor of r with respect to its own top
@@ -262,7 +272,9 @@ func (m *Manager) High(r Ref) Ref {
 	if n.level == terminalLevel {
 		panic("bdd: High of constant")
 	}
-	return n.high ^ (r & 1)
+	hi := n.high ^ (r & 1)
+	runtime.KeepAlive(m)
+	return hi
 }
 
 // cofactor returns the two cofactors of r with respect to the variable at
@@ -273,13 +285,15 @@ func (m *Manager) cofactor(r Ref, level uint32) (lo, hi Ref) {
 		return r, r
 	}
 	c := r & 1
-	return n.low ^ c, n.high ^ c
+	lo, hi = n.low^c, n.high^c
+	runtime.KeepAlive(m)
+	return lo, hi
 }
 
-// initBuckets resets the unique-table bucket array to the given
-// power-of-two size.
+// initBuckets replaces the unique-table bucket array with an empty one
+// of the given power-of-two size.
 func (m *Manager) initBuckets(size int) {
-	m.buckets = make([]int32, size)
+	m.buckets = newTable[int32](m.mem, &m.mem.buckets, size)
 	for i := range m.buckets {
 		m.buckets[i] = -1
 	}
@@ -405,6 +419,9 @@ func (m *Manager) alloc() int32 {
 		m.freeCount--
 		return idx
 	}
+	if len(m.nodes) == cap(m.nodes) {
+		m.growNodes(2 * len(m.nodes))
+	}
 	m.nodes = append(m.nodes, node{})
 	return int32(len(m.nodes) - 1)
 }
@@ -434,7 +451,7 @@ func (m *Manager) growBuckets() {
 		for 1<<bits < len(m.buckets) && bits < maxCacheBits {
 			bits++
 		}
-		m.cache.init(bits) // clearing the memo is safe, only slow
+		m.cache.init(m.mem, bits) // clearing the memo is safe, only slow
 	}
 }
 

@@ -1,5 +1,7 @@
 package bdd
 
+import "runtime"
+
 // Operation tags for the computed cache. Each memoized operation gets a
 // distinct tag so results of different operations on the same operands
 // cannot collide.
@@ -39,11 +41,13 @@ type computedCache struct {
 	cur uint32
 }
 
-func (c *computedCache) init(bits uint) {
+// init replaces the entries with 2^bits empty ones (at least 2^8),
+// mapped or made through mem.
+func (c *computedCache) init(mem *tableMem, bits uint) {
 	if bits < 8 {
 		bits = 8
 	}
-	c.entries = make([]cacheEntry, 1<<bits)
+	c.entries = newTable[cacheEntry](mem, &mem.cache, 1<<bits)
 	c.mask = uint32(len(c.entries) - 1)
 	c.cur = 1
 }
@@ -104,15 +108,19 @@ func (m *Manager) cacheLookup(op uint32, f, g, h Ref) (Ref, bool) {
 		m.CheckBudget()
 	}
 	e := &m.cache.entries[cacheHash(op, f, g, h)&m.cache.mask]
-	if e.epoch == m.cache.cur && e.op == op && e.f == f && e.g == g && e.h == h {
-		m.stats.CacheHits++
-		return e.res, true
+	hit := e.epoch == m.cache.cur && e.op == op && e.f == f && e.g == g && e.h == h
+	res := e.res
+	runtime.KeepAlive(m) // m's tables may be mappings, unmapped once m is unreachable
+	if !hit {
+		return 0, false
 	}
-	return 0, false
+	m.stats.CacheHits++
+	return res, true
 }
 
 // cacheStore records a computed result.
 func (m *Manager) cacheStore(op uint32, f, g, h, res Ref) {
 	e := &m.cache.entries[cacheHash(op, f, g, h)&m.cache.mask]
 	*e = cacheEntry{op: op, f: f, g: g, h: h, res: res, epoch: m.cache.cur}
+	runtime.KeepAlive(m)
 }

@@ -75,7 +75,7 @@ func TestCacheRoundTrip(t *testing.T) {
 // entries stamped 2^32 clears ago.
 func TestCacheEpochClear(t *testing.T) {
 	var c computedCache
-	c.init(8)
+	c.init(new(tableMem), 8)
 	c.entries[5] = cacheEntry{op: opITE, f: 2, g: 4, h: 6, res: 8, epoch: c.cur}
 	c.clear()
 	if e := &c.entries[5]; e.epoch == c.cur {
@@ -144,7 +144,7 @@ func TestCacheLookupSeesCancel(t *testing.T) {
 // adaptive cache's maximum size.
 func BenchmarkCacheClear(b *testing.B) {
 	var c computedCache
-	c.init(maxCacheBits)
+	c.init(new(tableMem), maxCacheBits)
 	b.Run("epoch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.clear()

@@ -3,6 +3,7 @@ package bdd
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -79,6 +80,7 @@ func (m *Manager) WriteDOT(w io.Writer, roots ...Ref) error {
 		edge(idx, n.high, "solid")
 		edge(idx, n.low, "dashed")
 	}
+	runtime.KeepAlive(m) // the loops read the node table through n
 
 	for i, r := range roots {
 		fmt.Fprintf(&b, "  root%d [shape=plaintext,label=\"root%d\"];\n", i, i)

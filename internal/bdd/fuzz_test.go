@@ -131,6 +131,7 @@ func FuzzAnd(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		m, vars := fuzzManager()
+		defer m.Close() // each input's tables go back at once, not at the next GC
 		fa, ta := fuzzFormula(m, vars, a)
 		fb, tb := fuzzFormula(m, vars, b)
 		r := m.And(fa, fb)
@@ -148,6 +149,7 @@ func FuzzOr(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		m, vars := fuzzManager()
+		defer m.Close() // each input's tables go back at once, not at the next GC
 		fa, ta := fuzzFormula(m, vars, a)
 		fb, tb := fuzzFormula(m, vars, b)
 		r := m.Or(fa, fb)
@@ -166,6 +168,7 @@ func FuzzRestrict(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		m, vars := fuzzManager()
+		defer m.Close() // each input's tables go back at once, not at the next GC
 		ff, tf := fuzzFormula(m, vars, a)
 		fc, tc := fuzzFormula(m, vars, b)
 		for _, s := range []Simplifier{UseRestrict, UseConstrain} {
@@ -187,6 +190,7 @@ func FuzzCofactorVar(f *testing.F) {
 	f.Add([]byte{7, 15, 3, 0, 6}, byte(3))
 	f.Fuzz(func(t *testing.T, a []byte, varByte byte) {
 		m, vars := fuzzManager()
+		defer m.Close() // each input's tables go back at once, not at the next GC
 		ff, tf := fuzzFormula(m, vars, a)
 		i := int(varByte) % fuzzVars
 		v := vars[i]
@@ -221,11 +225,13 @@ func FuzzTransfer(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		m, vars := fuzzManager()
+		defer m.Close() // each input's tables go back at once, not at the next GC
 		ff, tf := fuzzFormula(m, vars, a)
 		fg, _ := fuzzFormula(m, vars, b)
 		_ = fg // populate m beyond ff so Transfer walks a non-trivial table
 
 		w := newDest(m.NumVars())
+		defer w.Close()
 		wf := Transfer(w, m, ff, nil)
 		if got := fuzzEvalTable(w, wf); got != tf {
 			t.Fatalf("transferred table %08x, want %08x", got, tf)

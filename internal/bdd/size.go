@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/big"
+	"runtime"
 	"sort"
 )
 
@@ -38,6 +39,7 @@ func (m *Manager) SharedSize(roots ...Ref) int {
 			}
 		}
 	}
+	runtime.KeepAlive(m) // the walk reads the node table through n
 	return len(seen)
 }
 
@@ -70,6 +72,7 @@ func (m *Manager) Support(f Ref) []Var {
 			}
 		}
 	}
+	runtime.KeepAlive(m) // the walk reads the node table through n
 	for _, idx := range seen {
 		mark[idx/64] &^= 1 << (idx % 64)
 	}

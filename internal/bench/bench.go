@@ -75,6 +75,7 @@ type CellResult struct {
 // truly unbounded zero value.
 func RunCell(ctx context.Context, c Cell, budget Budget) CellResult {
 	m := bdd.New()
+	defer m.Close()
 	p := c.Build(m)
 	opt := c.Opt
 	if opt.Budget.NodeLimit == 0 {

@@ -185,12 +185,18 @@ func Generate(p Params) (Instance, error) {
 	if err != nil {
 		return Instance{}, err
 	}
-	prob, err := mo.Instantiate(bdd.New())
+	m := bdd.New()
+	prob, err := mo.Instantiate(m)
 	if err != nil {
+		m.Close()
 		return Instance{}, fmt.Errorf("difftest: instantiating %s: %w", mo.Name, err)
 	}
 	return Instance{Params: p, Model: mo, Problem: prob, Machine: prob.Machine}, nil
 }
+
+// Close gives back the instance's manager; no Ref of the instance may
+// be used afterwards.
+func (i Instance) Close() { i.Machine.M.Close() }
 
 // goodList returns the instance's property partition, falling back to
 // the monolithic singleton — the list trace validation replays against.

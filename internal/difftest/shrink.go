@@ -97,6 +97,7 @@ func Shrink(p Params, cfg Config, maxSteps int) Params {
 		if err != nil {
 			return false
 		}
+		defer inst.Close()
 		return RunInstance(inst, cfg).Divergent()
 	}
 	if !check(p) {

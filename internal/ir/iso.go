@@ -160,6 +160,7 @@ func seedIsoMemo(m *bdd.Manager, states []*State, vars map[string]bdd.Var, memo 
 			}
 			memo[s.Next] = bdd.Transfer(m, scratch, tmpl, varMap)
 		}
+		scratch.Close()
 	}
 }
 

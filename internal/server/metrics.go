@@ -3,6 +3,9 @@ package server
 import (
 	"expvar"
 	"net/http"
+	"runtime"
+
+	"repro/internal/bdd"
 )
 
 // metrics is the daemon's counter set, served at /metrics in expvar's
@@ -84,6 +87,15 @@ func newMetrics() *metrics {
 	mt.top.Set("forwarded_out", &mt.forwardedOut)
 	mt.top.Set("forwarded_in", &mt.forwardedIn)
 	mt.top.Set("forward_fallbacks", &mt.forwardFallbacks)
+	// Process-wide memory gauges. The BDD tables of large jobs live in
+	// mappings that runtime.MemStats does not count, so the heap figure
+	// alone misses most of a busy daemon's memory.
+	mt.top.Set("bdd_mapped_bytes", expvar.Func(func() any { return bdd.MappedBytes() }))
+	mt.top.Set("go_heap_inuse_bytes", expvar.Func(func() any {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}))
 	return mt
 }
 

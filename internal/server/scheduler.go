@@ -168,6 +168,7 @@ func (s *Server) runAttempt(j *job, meth verify.Method, budget resource.Budget) 
 	}
 
 	m := bdd.New()
+	defer m.Close() // after the trace is rendered and the peak read
 	p, err := buildProblem(m, &j.req)
 	if err != nil {
 		s.finalize(j, nil, err.Error())

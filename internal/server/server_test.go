@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -818,5 +819,37 @@ func TestWaitModeInlineResult(t *testing.T) {
 	}
 	if sr.Status.Result.Outcome != verify.Verified.String() {
 		t.Fatalf("outcome %q", sr.Status.Result.Outcome)
+	}
+}
+
+// TestAttemptClosesItsManager: a job large enough to map its BDD tables
+// (filter depth 8 peaks at about 182,000 nodes, a 4 MB node array) has
+// given them back by the time it is terminal, as /metrics reports. The
+// gauge is process-wide, so this test must not run in parallel, and it
+// starts once every earlier test's dropped manager has been finalized.
+func TestAttemptClosesItsManager(t *testing.T) {
+	e := newTestServer(t, Config{Workers: 1})
+	start := -1
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		cur := metricInt(t, e.metricsDoc(t), "bdd_mapped_bytes")
+		if cur == start {
+			break
+		}
+		start = cur
+	}
+
+	id := e.submit(t, SubmitRequest{Builtin: "filter", Params: map[string]int{"depth": 8}, Engine: "XICI"})
+	st := e.waitDone(t, id)
+	if st.State != StateDone || st.Result == nil || st.Result.PeakLiveNodes*16 < 2<<20 {
+		t.Fatalf("want a done job whose node array passed 2 MB, got %+v", st)
+	}
+	doc := e.metricsDoc(t)
+	if got := metricInt(t, doc, "bdd_mapped_bytes"); got != start {
+		t.Errorf("bdd_mapped_bytes %d once the job is terminal, %d before it", got, start)
+	}
+	if metricInt(t, doc, "go_heap_inuse_bytes") <= 0 {
+		t.Errorf("go_heap_inuse_bytes: %v", doc["go_heap_inuse_bytes"])
 	}
 }

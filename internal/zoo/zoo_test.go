@@ -1,6 +1,7 @@
 package zoo
 
 import (
+	"flag"
 	"slices"
 	"testing"
 
@@ -86,24 +87,38 @@ func TestBuggedVariantsViolate(t *testing.T) {
 	}
 }
 
+// long runs the slow rows of the paper's tables as well; CI's nightly
+// job sets it.
+var long = flag.Bool("long", false, "also run the slow rows of the paper's tables")
+
 // TestTable2FilterCounts pins Table 2's unassisted 8-bit filter under
 // XICI to the paper's exact counts: verdict, iterations, peak iterate
-// nodes and the conjunct profile at the peak.
+// nodes and the conjunct profile at the peak. The depth-16 row runs
+// only with -long (about 5 s); it also pins the manager's peak live
+// nodes under the paper tables' 12M-node budget, and it is the only
+// test that grows every BDD table past the mapping threshold and the
+// computed cache to its cap.
 func TestTable2FilterCounts(t *testing.T) {
 	cases := []struct {
 		depth, iterations, nodes int
 		profile                  []int
+		peakLive                 int // 0: not pinned
 	}{
-		{4, 2, 146, []int{45, 102}},
-		{8, 3, 638, []int{81, 169, 390}},
+		{4, 2, 146, []int{45, 102}, 0},
+		{8, 3, 638, []int{81, 169, 390}, 0},
+		{16, 4, 2558, []int{141, 290, 629, 1501}, 9_753_587},
 	}
 	for _, tc := range cases {
+		if tc.depth == 16 && !*long {
+			continue
+		}
 		mo, err := Build("filter", Size{"depth": tc.depth, "width": 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := verify.Run(mo.MustInstantiate(bdd.New()), verify.XICI, verify.Options{
-			Budget: resource.Budget{NodeLimit: 4 << 20},
+		m := bdd.New()
+		res := verify.Run(mo.MustInstantiate(m), verify.XICI, verify.Options{
+			Budget: resource.Budget{NodeLimit: 12_000_000},
 		})
 		if res.Outcome != verify.Verified || res.Iterations != tc.iterations ||
 			res.PeakStateNodes != tc.nodes || !slices.Equal(res.PeakProfile, tc.profile) {
@@ -111,6 +126,10 @@ func TestTable2FilterCounts(t *testing.T) {
 				tc.depth, res.Outcome, res.Iterations, res.PeakStateNodes, res.PeakProfile,
 				tc.iterations, tc.nodes, tc.profile)
 		}
+		if tc.peakLive != 0 && m.PeakNodes() != tc.peakLive {
+			t.Errorf("depth %d: peak live nodes %d, want %d", tc.depth, m.PeakNodes(), tc.peakLive)
+		}
+		m.Close()
 	}
 }
 

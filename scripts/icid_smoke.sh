@@ -75,6 +75,9 @@ METRICS=$(curl -sf "$BASE/metrics") || fail "metrics failed"
 printf '%s' "$METRICS" | grep -q '"submitted": 1' || fail "submitted != 1: $METRICS"
 printf '%s' "$METRICS" | grep -q '"completed": 1' || fail "completed != 1: $METRICS"
 printf '%s' "$METRICS" | grep -q '"verified": 1' || fail "verified != 1: $METRICS"
+for key in bdd_mapped_bytes go_heap_inuse_bytes; do
+	printf '%s' "$METRICS" | grep -q "\"$key\": [0-9]" || fail "$key missing: $METRICS"
+done
 
 echo "icid_smoke: submitting a 3-model batch with escalation policy"
 BSUBMIT=$(curl -sf "$BASE/batches" -d '{
