@@ -47,45 +47,34 @@ var mappedBytes atomic.Int64
 func MappedBytes() int64 { return mappedBytes.Load() }
 
 // tableMem owns the mappings behind one Manager's tables; a nil field
-// is a table in the Go heap. Only the Manager points at it, so its
-// finalizer runs once the Manager is unreachable.
+// is a table in the Go heap. A field's length is what MappedBytes
+// counts of it: a whole bucket or cache mapping, and the node
+// reservation up to the node array's capacity. Only the Manager points
+// at it, so its finalizer runs once the Manager is unreachable.
 type tableMem struct {
 	nodes, buckets, cache []byte
 
-	nodeBytes int64 // the part of the node reservation counted in mappedBytes
-	armed     bool  // the finalizer is set
+	armed bool // the finalizer is set
 }
 
-// keep records the fresh mapping b in *reg, counts n of its bytes in
-// MappedBytes and, on the first mapping, sets the finalizer.
-func (mem *tableMem) keep(reg *[]byte, b []byte, n int64) {
+// keep records the fresh mapping b in *reg, counts it in MappedBytes
+// and, on the first mapping, sets the finalizer.
+func (mem *tableMem) keep(reg *[]byte, b []byte) {
 	*reg = b
-	mem.count(reg, n)
+	mappedBytes.Add(int64(len(b)))
 	if !mem.armed {
 		mem.armed = true
 		runtime.SetFinalizer(mem, (*tableMem).release)
 	}
 }
 
-// count adds n bytes of the mapping *reg to MappedBytes.
-func (mem *tableMem) count(reg *[]byte, n int64) {
-	if reg == &mem.nodes {
-		mem.nodeBytes += n
-	}
-	mappedBytes.Add(n)
-}
-
-// unmap gives the mapping *reg back, if there is one.
+// unmap gives the whole mapping behind *reg back, if there is one.
 func (mem *tableMem) unmap(reg *[]byte) {
 	if *reg == nil {
 		return
 	}
-	n := int64(len(*reg))
-	if reg == &mem.nodes {
-		n, mem.nodeBytes = mem.nodeBytes, 0
-	}
-	mappedBytes.Add(-n)
-	unmapAnon(*reg)
+	mappedBytes.Add(-int64(len(*reg)))
+	unmapAnon((*reg)[:cap(*reg)])
 	*reg = nil
 }
 
@@ -105,7 +94,7 @@ func newTable[T any](mem *tableMem, reg *[]byte, n int) []T {
 	size := n * int(unsafe.Sizeof(*new(T)))
 	if size >= mapThreshold {
 		if b := mapAnon(size, false); b != nil {
-			mem.keep(reg, b, int64(size))
+			mem.keep(reg, b)
 			return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 		}
 	}
@@ -131,13 +120,14 @@ func (m *Manager) growNodes(want int) {
 		moved := unsafe.Slice((*node)(unsafe.Pointer(unsafe.SliceData(b))), len(m.nodes))
 		copy(moved, m.nodes)
 		m.nodes = moved
-		mem.keep(&mem.nodes, b, int64(len(moved))*nodeBytes)
+		mem.keep(&mem.nodes, b[:len(moved)*nodeBytes])
 	}
 	want = min(want, nodeSpace)
 	if want <= cap(m.nodes) {
 		return
 	}
-	mem.count(&mem.nodes, int64(want-cap(m.nodes))*nodeBytes)
+	mappedBytes.Add(int64(want-cap(m.nodes)) * nodeBytes)
+	mem.nodes = mem.nodes[:want*nodeBytes]
 	m.nodes = unsafe.Slice(unsafe.SliceData(m.nodes), want)[:len(m.nodes)]
 }
 
