@@ -159,13 +159,9 @@ func NewWithSize(nodeCap int, cacheBits uint) *Manager {
 	if nodeCap < 16 {
 		nodeCap = 16
 	}
-	m := &Manager{
-		mem:   new(tableMem),
-		nodes: make([]node, 1, nodeCap),
-		free:  -1,
-	}
+	m := &Manager{mem: new(tableMem), free: -1}
+	m.nodes = newTable[node](m.mem, &m.mem.nodes, nodeCap)[:1]
 	m.nodes[0] = node{level: terminalLevel, low: One, high: One, next: -1}
-	m.growNodes(nodeCap)
 	m.initBuckets(1 << 10)
 	m.cache.init(m.mem, cacheBits)
 	m.stats.Nodes = 1
@@ -420,7 +416,7 @@ func (m *Manager) alloc() int32 {
 		return idx
 	}
 	if len(m.nodes) == cap(m.nodes) {
-		m.growNodes(2 * len(m.nodes))
+		m.growNodes()
 	}
 	m.nodes = append(m.nodes, node{})
 	return int32(len(m.nodes) - 1)

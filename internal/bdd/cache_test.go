@@ -75,7 +75,9 @@ func TestCacheRoundTrip(t *testing.T) {
 // entries stamped 2^32 clears ago.
 func TestCacheEpochClear(t *testing.T) {
 	var c computedCache
-	c.init(new(tableMem), 8)
+	mem := new(tableMem) // nothing else holds it, and its finalizer would unmap c.entries
+	defer mem.release()
+	c.init(mem, 8)
 	c.entries[5] = cacheEntry{op: opITE, f: 2, g: 4, h: 6, res: 8, epoch: c.cur}
 	c.clear()
 	if e := &c.entries[5]; e.epoch == c.cur {
@@ -144,7 +146,9 @@ func TestCacheLookupSeesCancel(t *testing.T) {
 // adaptive cache's maximum size.
 func BenchmarkCacheClear(b *testing.B) {
 	var c computedCache
-	c.init(new(tableMem), maxCacheBits)
+	mem := new(tableMem) // nothing else holds it, and its finalizer would unmap c.entries
+	defer mem.release()
+	c.init(mem, maxCacheBits)
 	b.Run("epoch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.clear()

@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 	"unsafe"
@@ -20,12 +19,11 @@ import (
 // its runs never earn back (EXPERIMENTS.md, "BDD tables in mapped
 // memory").
 //
-// The node array moves once into a reservation of its whole index
-// space and then grows in place, so its nodes are never copied again.
-// The buckets and the cache get a fresh mapping on each growth and the
-// old one is unmapped at once. A fresh mapping reads as zeros, which is
-// an empty cache: epoch 0 is never current. A mapping that fails leaves
-// the table in the Go heap.
+// Each growth of a table gets a fresh mapping and unmaps the old one at
+// once: the node array after copying its nodes across, the buckets and
+// the cache before they are rebuilt. A fresh mapping reads as zeros,
+// which is an empty cache: epoch 0 is never current. A mapping that
+// fails leaves the table in the Go heap.
 //
 // Manager.Close unmaps a manager's tables; a finalizer on its tableMem
 // is the backstop for a manager dropped without Close.
@@ -34,23 +32,16 @@ import (
 // huge page. The package's own tests lower it to 0.
 var mapThreshold = 2 << 20
 
-// nodeSpace is the node array's reservation, in nodes: every index a
-// non-negative int32 can hold, as far as the address space allows.
-const nodeSpace = min(1<<31, math.MaxInt/nodeBytes)
-
 // mappedBytes backs MappedBytes.
 var mappedBytes atomic.Int64
 
 // MappedBytes returns the bytes of BDD tables held in mappings outside
-// the Go heap, summed over the process's managers. The node array
-// counts at its current capacity, not at the size of its reservation.
+// the Go heap, summed over the process's managers.
 func MappedBytes() int64 { return mappedBytes.Load() }
 
 // tableMem owns the mappings behind one Manager's tables; a nil field
-// is a table in the Go heap. A field's length is what MappedBytes
-// counts of it: a whole bucket or cache mapping, and the node
-// reservation up to the node array's capacity. Only the Manager points
-// at it, so its finalizer runs once the Manager is unreachable.
+// is a table in the Go heap. Only the Manager points at it, so its
+// finalizer runs once the Manager is unreachable.
 type tableMem struct {
 	nodes, buckets, cache []byte
 
@@ -74,7 +65,7 @@ func (mem *tableMem) unmap(reg *[]byte) {
 		return
 	}
 	mappedBytes.Add(-int64(len(*reg)))
-	unmapAnon((*reg)[:cap(*reg)])
+	unmapAnon(*reg)
 	*reg = nil
 }
 
@@ -93,7 +84,7 @@ func newTable[T any](mem *tableMem, reg *[]byte, n int) []T {
 	mem.unmap(reg)
 	size := n * int(unsafe.Sizeof(*new(T)))
 	if size >= mapThreshold {
-		if b := mapAnon(size, false); b != nil {
+		if b := mapAnon(size); b != nil {
 			mem.keep(reg, b)
 			return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
 		}
@@ -101,34 +92,19 @@ func newTable[T any](mem *tableMem, reg *[]byte, n int) []T {
 	return make([]T, n)
 }
 
-// growNodes gives the node array room for want nodes once it reaches
-// mapThreshold bytes: the first call moves the array into a
-// reservation of nodeSpace nodes, and every call extends the slice's
-// capacity over the reservation. Below the threshold, or when the
-// reservation fails, it does nothing and append grows the array in the
-// Go heap.
-func (m *Manager) growNodes(want int) {
-	mem := m.mem
-	if mem.nodes == nil {
-		if want*nodeBytes < mapThreshold {
-			return
-		}
-		b := mapAnon(nodeSpace*nodeBytes, true)
-		if b == nil {
-			return
-		}
-		moved := unsafe.Slice((*node)(unsafe.Pointer(unsafe.SliceData(b))), len(m.nodes))
-		copy(moved, m.nodes)
-		m.nodes = moved
-		mem.keep(&mem.nodes, b[:len(moved)*nodeBytes])
-	}
-	want = min(want, nodeSpace)
-	if want <= cap(m.nodes) {
+// growNodes moves the full node array into a table of twice its
+// capacity and gives back the mapping it leaves, if any. While the
+// doubled array would stay under mapThreshold it does nothing, and
+// append grows the array in the Go heap.
+func (m *Manager) growNodes() {
+	if 2*cap(m.nodes)*nodeBytes < mapThreshold {
 		return
 	}
-	mappedBytes.Add(int64(want-cap(m.nodes)) * nodeBytes)
-	mem.nodes = mem.nodes[:want*nodeBytes]
-	m.nodes = unsafe.Slice(unsafe.SliceData(m.nodes), want)[:len(m.nodes)]
+	old := m.mem.nodes
+	m.mem.nodes = nil
+	nodes := newTable[node](m.mem, &m.mem.nodes, 2*cap(m.nodes))
+	m.nodes = nodes[:copy(nodes, m.nodes)]
+	m.mem.unmap(&old)
 }
 
 // Close gives the Manager's mapped tables back at once, instead of

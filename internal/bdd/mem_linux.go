@@ -3,18 +3,12 @@ package bdd
 import "syscall"
 
 // mapAnon maps size bytes of private anonymous memory advised to use
-// huge pages, or returns nil if the mapping fails. A noReserve mapping
-// commits no swap for its size: the node array's reservation, most of
-// which is never touched.
+// huge pages, or returns nil if the mapping fails.
 //
 // The advice concerns this mapping alone; whether the kernel honours
 // it is the host's setting, which this package never reads or writes.
-func mapAnon(size int, noReserve bool) []byte {
-	flags := syscall.MAP_PRIVATE | syscall.MAP_ANON
-	if noReserve {
-		flags |= syscall.MAP_NORESERVE
-	}
-	b, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, flags)
+func mapAnon(size int) []byte {
+	b, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 	if err != nil {
 		return nil
 	}

@@ -4,6 +4,6 @@ package bdd
 
 // Off Linux every table is made in the Go heap.
 
-func mapAnon(size int, noReserve bool) []byte { return nil }
+func mapAnon(size int) []byte { return nil }
 
 func unmapAnon(b []byte) {}

@@ -102,11 +102,12 @@ func TestTable2FilterCounts(t *testing.T) {
 	cases := []struct {
 		depth, iterations, nodes int
 		profile                  []int
+		nodeLimit                int
 		peakLive                 int // 0: not pinned
 	}{
-		{4, 2, 146, []int{45, 102}, 0},
-		{8, 3, 638, []int{81, 169, 390}, 0},
-		{16, 4, 2558, []int{141, 290, 629, 1501}, 9_753_587},
+		{4, 2, 146, []int{45, 102}, 4 << 20, 0},
+		{8, 3, 638, []int{81, 169, 390}, 4 << 20, 0},
+		{16, 4, 2558, []int{141, 290, 629, 1501}, 12_000_000, 9_753_587},
 	}
 	for _, tc := range cases {
 		if tc.depth == 16 && !*long {
@@ -118,7 +119,7 @@ func TestTable2FilterCounts(t *testing.T) {
 		}
 		m := bdd.New()
 		res := verify.Run(mo.MustInstantiate(m), verify.XICI, verify.Options{
-			Budget: resource.Budget{NodeLimit: 12_000_000},
+			Budget: resource.Budget{NodeLimit: tc.nodeLimit},
 		})
 		if res.Outcome != verify.Verified || res.Iterations != tc.iterations ||
 			res.PeakStateNodes != tc.nodes || !slices.Equal(res.PeakProfile, tc.profile) {
